@@ -4,7 +4,22 @@ universal model-checking driver built on it.
 The search is the deterministic counterpart of a nondeterministic
 recursion: every nondeterministic choice becomes exhaustive iteration in
 the canonical descriptor order, so verdicts and counterexamples are
-reproducible. Results are memoized per (subformula, descriptor element).
+reproducible.
+
+An engine checks one formula, which it compiles once into a node table:
+each maximal propositional subformula becomes a leaf, each disjunction and
+diamond above the leaves an inner node, and equal nodes share one index
+(hash-consing). Results are memoized per (node index, descriptor element),
+and a leaf is evaluated once per distinct intersection of the labels of an
+element's states, kept as a bitmask over the letters.
+
+States are numbered once per engine, and the interior of each forward
+descriptor element is kept as a bitmask over them. The forward elements of
+a state are indexed by their last state, so the `[B]`/`[E]` case finds the
+two parts of a split of d by testing masks against d's interior over the
+few candidates that end at the right state; `concat_desc` confirms each
+match. One routine serves both modalities, and it checks the part that
+carries the recursion at most once per element.
 """
 
 from __future__ import annotations
@@ -41,31 +56,78 @@ class Verdict:
         return self.result == "holds"
 
 
+# Kinds of compiled nodes besides the diamonds, which use their Modality.
+_LEAF = "leaf"
+_OR = "or"
+_DIAMONDS = frozenset({Modality.A, Modality.ABAR, Modality.B, Modality.E})
+
+
 class _ExistsEngine:
-    def __init__(self, K: KripkeStructure, use_memo: bool = True):
+    """Search for one existential-fragment formula over the descriptor
+    elements of one structure. Node `root` is the formula itself."""
+
+    def __init__(self, K: KripkeStructure, phi, use_memo: bool = True):
         self.K = K
         self.use_memo = use_memo
-        self._forward: dict = {}
-        self._backward: dict = {}
+        self._bit = {s: 1 << i for i, s in enumerate(K.states)}
+        letter_bit = {p: 1 << i for i, p in enumerate(sorted(K.ap))}
+        self._letters = {s: sum(letter_bit[p] for p in K.labels[s]) for s in K.states}
+        # Node i is (kind, a, b): (_LEAF, formula, None), (_OR, left, right)
+        # or (modality, sub, None), with children as node indices.
+        self._nodes: list = []
+        self._node_ids: dict = {}
+        self.root = self._compile(phi)
+        self._witnessed: dict = {}
+        self._masked: dict = {}
+        self._by_last: dict = {}
         self._memo: dict = {}
+        self._leaf_values: dict = {}
         self._witness_cache: dict = {}
         self.stats = {"check_calls": 0, "memo_hits": 0, "descriptors_explored": 0, "adjacent_witnesses": 0}
 
-    def forward(self, v):
-        out = self._forward.get(v)
+    def _compile(self, phi) -> int:
+        if is_propositional(phi):
+            node = (_LEAF, phi, None)
+        elif isinstance(phi, Or):
+            node = (_OR, self._compile(phi.left), self._compile(phi.right))
+        elif isinstance(phi, Diamond):
+            if phi.mod not in _DIAMONDS:
+                raise NotInFragment(f"modality {phi.mod.text} outside the existential fragment")
+            node = (phi.mod, self._compile(phi.sub), None)
+        else:
+            raise NotInFragment(f"node outside the existential fragment: {phi!r}")
+        index = self._node_ids.get(node)
+        if index is None:
+            index = self._node_ids[node] = len(self._nodes)
+            self._nodes.append(node)
+        return index
+
+    def witnessed(self, v, direction="forward"):
+        key = (v, direction)
+        out = self._witnessed.get(key)
         if out is None:
-            out = witnessed_descriptors(self.K, v, "forward")
-            self._forward[v] = out
+            out = self._witnessed[key] = witnessed_descriptors(self.K, v, direction)
             self.stats["descriptors_explored"] += len(out)
         return out
 
-    def backward(self, v):
-        out = self._backward.get(v)
+    def _mask(self, d) -> int:
+        return sum(self._bit[s] for s in d.interior)
+
+    def masked(self, v):
+        """`witnessed(v)` as (interior mask, element) pairs, in its order."""
+        out = self._masked.get(v)
         if out is None:
-            out = witnessed_descriptors(self.K, v, "backward")
-            self._backward[v] = out
-            self.stats["descriptors_explored"] += len(out)
+            out = self._masked[v] = [(self._mask(d), d) for d in self.witnessed(v)]
         return out
+
+    def ending(self, v, last):
+        """The pairs of `masked(v)` whose element ends at `last`."""
+        index = self._by_last.get(v)
+        if index is None:
+            index = self._by_last[v] = {}
+            for pair in self.masked(v):
+                index.setdefault(pair[1].v_fin, []).append(pair)
+        return index.get(last, ())
 
     def realize(self, d) -> Track:
         out = self._witness_cache.get(d)
@@ -74,95 +136,99 @@ class _ExistsEngine:
             self._witness_cache[d] = out
         return out
 
-    def check(self, phi, d: DescriptorElement):
+    def check(self, node: int, d: DescriptorElement):
         """(satisfiable?, witness track associated with d or None)."""
-        key = (phi, d)
-        if self.use_memo and key in self._memo:
-            self.stats["memo_hits"] += 1
-            return self._memo[key]
+        key = (node, d)
+        if self.use_memo:
+            out = self._memo.get(key)
+            if out is not None:
+                self.stats["memo_hits"] += 1
+                return out
         self.stats["check_calls"] += 1
-        out = self._check(phi, d)
+        out = self._check(node, d)
         if self.use_memo:
             self._memo[key] = out
         return out
 
-    def _check(self, phi, d):
-        K = self.K
-        if is_propositional(phi):
-            if val(phi, d, K):
+    def _check(self, node, d):
+        kind, a, b = self._nodes[node]
+        if kind is _LEAF:
+            if self._leaf(node, a, d):
                 return True, self.realize(d)
             return False, None
-        if isinstance(phi, Or):
-            ok, wit = self.check(phi.left, d)
+        if kind is _OR:
+            ok, wit = self.check(a, d)
             if ok:
                 return ok, wit
-            return self.check(phi.right, d)
-        if not isinstance(phi, Diamond):
-            raise NotInFragment(f"node outside the existential fragment: {phi!r}")
-
-        if phi.mod is Modality.A:
-            for adj in self.forward(d.v_fin):
-                ok, _ = self.check(phi.sub, adj)
+            return self.check(b, d)
+        if kind is Modality.A or kind is Modality.ABAR:
+            adjacent = (
+                self.witnessed(d.v_fin) if kind is Modality.A else self.witnessed(d.v_in, "backward")
+            )
+            for adj in adjacent:
+                ok, _ = self.check(a, adj)
                 if ok:
                     self.stats["adjacent_witnesses"] += 1
                     return True, self.realize(d)
             return False, None
+        return self._split(a, d, kind is Modality.B)
 
-        if phi.mod is Modality.ABAR:
-            for adj in self.backward(d.v_in):
-                ok, _ = self.check(phi.sub, adj)
-                if ok:
-                    self.stats["adjacent_witnesses"] += 1
-                    return True, self.realize(d)
-            return False, None
+    def _leaf(self, node, beta, d) -> bool:
+        letters = self._letters
+        common = letters[d.v_in] & letters[d.v_fin]
+        for s in d.interior:
+            common &= letters[s]
+        key = (node, common)
+        out = self._leaf_values.get(key)
+        if out is None:
+            out = self._leaf_values[key] = val(beta, d, self.K)
+        return out
 
-        if phi.mod is Modality.B:
-            # Dropping the last state: either it directly follows the
-            # prefix's descriptor, or the track splits into two witnessed
-            # descriptors whose join reproduces d.
-            for d1 in self.forward(d.v_in):
-                if (d1.v_fin, d.v_fin) in self.K.edges and d1.interior | {d1.v_fin} == d.interior:
-                    ok, wit = self.check(phi.sub, d1)
-                    if ok:
-                        return True, wit + (d.v_fin,)
-            for d1 in self.forward(d.v_in):
-                if not d1.interior <= d.interior:
+    def _split(self, sub, d, prefix: bool):
+        """`<B> sub` (prefix) or `<E> sub` (suffix) at d. The kept part of a
+        track of d either loses one state, the last (first), or d splits
+        into witnessed x = (d.v_in, _, u) and y = (v, _, d.v_fin) with
+        u -> v, whose join is d; the kept part is x (y)."""
+        a, b = d.v_in, d.v_fin
+        bit, succ = self._bit, self.K.successors
+        target = self._mask(d)
+        failed = set()
+
+        def attempt(part):
+            ok, wit = self.check(sub, part)
+            if not ok:
+                failed.add(part)
+            return wit
+
+        # The dropped state u is the joint: prefix (a, _, u) with u -> b, or
+        # suffix (u, _, b) with a -> u.
+        for u in self.K.predecessors(b) if prefix else succ(a):
+            for m, part in self.ending(a, u) if prefix else self.ending(u, b):
+                if m | bit[u] == target and part not in failed:
+                    wit = attempt(part)
+                    if wit is not None:
+                        return True, wit + (b,) if prefix else (a,) + wit
+
+        for mx, x in self.masked(a):
+            if mx & ~target:
+                continue
+            base = mx | bit[x.v_fin]
+            for v in succ(x.v_fin):
+                # Computed before the mask test: descriptors_explored counts
+                # every state the scan reaches, whether or not a y matches.
+                ys = self.ending(v, b)
+                joint = base | bit[v]
+                if joint & ~target:
                     continue
-                for v2 in self.K.successors(d1.v_fin):
-                    for d2 in self.forward(v2):
-                        if d2.v_fin != d.v_fin:
-                            continue
-                        if concat_desc(d1, d2) == d:
-                            ok, wit = self.check(phi.sub, d1)
-                            if ok:
-                                return True, wit + self.realize(d2)
-            return False, None
-
-        if phi.mod is Modality.E:
-            # Mirror image: drop the first state, or split with the suffix
-            # part carrying the recursion.
-            for v1 in self.K.successors(d.v_in):
-                for d1 in self.forward(v1):
-                    if d1.v_fin != d.v_fin:
+                for my, y in ys:
+                    if joint | my != target:
                         continue
-                    if d1.interior | {d1.v_in} == d.interior:
-                        ok, wit = self.check(phi.sub, d1)
-                        if ok:
-                            return True, (d.v_in,) + wit
-            for d2 in self.forward(d.v_in):
-                if not d2.interior <= d.interior:
-                    continue
-                for v1 in self.K.successors(d2.v_fin):
-                    for d1 in self.forward(v1):
-                        if d1.v_fin != d.v_fin:
-                            continue
-                        if concat_desc(d2, d1) == d:
-                            ok, wit = self.check(phi.sub, d1)
-                            if ok:
-                                return True, self.realize(d2) + wit
-            return False, None
-
-        raise NotInFragment(f"modality {phi.mod.text} outside the existential fragment")
+                    part = x if prefix else y
+                    if part not in failed and concat_desc(x, y) == d:
+                        wit = attempt(part)
+                        if wit is not None:
+                            return True, wit + self.realize(y) if prefix else self.realize(x) + wit
+        return False, None
 
 
 def check_exists(
@@ -173,10 +239,10 @@ def check_exists(
     """
     if not classify(psi).exists_aabe:
         raise NotInFragment("check_exists expects an ExistsAABE formula")
-    engine = _ExistsEngine(K, use_memo=use_memo)
-    if d not in engine.forward(d.v_in):
+    engine = _ExistsEngine(K, psi, use_memo=use_memo)
+    if d not in engine.witnessed(d.v_in):
         raise NotWitnessed(f"descriptor element {d!r} is not witnessed")
-    return engine.check(psi, d)
+    return engine.check(engine.root, d)
 
 
 def model_check_univ(K: KripkeStructure, psi, use_memo: bool = True) -> Verdict:
@@ -188,9 +254,9 @@ def model_check_univ(K: KripkeStructure, psi, use_memo: bool = True) -> Verdict:
     if not classify(psi).forall_aabe:
         raise NotInFragment("model_check_univ expects a ForallAABE formula")
     negated = negate_to_exists(psi)
-    engine = _ExistsEngine(K, use_memo=use_memo)
-    for d in engine.forward(K.init):
-        ok, wit = engine.check(negated, d)
+    engine = _ExistsEngine(K, negated, use_memo=use_memo)
+    for d in engine.witnessed(K.init):
+        ok, wit = engine.check(engine.root, d)
         if ok:
             return Verdict("fails", wit, "descriptor", dict(engine.stats))
     return Verdict("holds", None, "descriptor", dict(engine.stats))

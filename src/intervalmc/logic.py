@@ -98,16 +98,27 @@ Formula = Union[Prop, Const, Not, And, Or, Implies, Diamond, Box]
 
 _BINARY = (And, Or, Implies)
 _MODAL = (Diamond, Box)
+_UNARY = (Not,) + _MODAL
 
 
 def subformulas(phi: Formula) -> Iterator[Formula]:
-    """Postorder traversal (children before parents), duplicates included."""
-    if isinstance(phi, _BINARY):
-        yield from subformulas(phi.left)
-        yield from subformulas(phi.right)
-    elif isinstance(phi, (Not,) + _MODAL):
-        yield from subformulas(phi.sub)
-    yield phi
+    """Postorder traversal (children before parents), duplicates included.
+
+    Collects parents before children, right subtrees first, with an
+    explicit stack, and reverses that order; this costs O(size) at any
+    depth.
+    """
+    order = []
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if isinstance(node, _BINARY):
+            stack.append(node.left)
+            stack.append(node.right)
+        elif isinstance(node, _UNARY):
+            stack.append(node.sub)
+    return reversed(order)
 
 
 def formula_size(phi: Formula) -> int:

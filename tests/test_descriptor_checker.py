@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from intervalmc import (
@@ -12,11 +14,14 @@ from intervalmc.errors import NotInFragment, NotWitnessed
 from intervalmc.logic import (
     And,
     Box,
+    Diamond,
     Modality,
+    Prop,
     desugar,
     negate_to_exists,
     parse_formula,
 )
+from intervalmc.model import concat_desc, shortest_witness
 from intervalmc.oracle import default_bound
 from intervalmc.reductions import CnfFormula, build_sat_instance
 from intervalmc.tracknfa import accepts_track, compile_positive, find_satisfying_track
@@ -203,3 +208,133 @@ def test_engines_agree_on_shared_fragment():
         checked += 1
         assert model_check_univ(K, psi).result == check_ab(K, psi).result
     assert checked >= 40
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs: the search order is canonical, so the verdict, the
+# counterexample and the counters must not move when the engine gets faster.
+
+
+SCHEDULER_PINS = (
+    (
+        "[E] !(e0 & e1)",
+        "fails",
+        ("w0", "w1", "w3", "w4", "w5", "w0", "w1", "w6", "w7", "w0", "w2", "w3", "w8", "w9"),
+        2739,
+        2657,
+    ),
+    ("[B] !(e0 & e1)", "holds", None, 536, 2657),
+    ("[~A][E](r0 -> !e1)", "holds", None, 824, 2935),
+)
+
+
+@pytest.mark.parametrize("text,result,counterexample,check_calls,explored", SCHEDULER_PINS)
+def test_scheduler_outputs_pinned(scheduler, text, result, counterexample, check_calls, explored):
+    verdict = model_check_univ(scheduler, desugar(parse_formula(text)))
+    assert verdict.result == result
+    assert verdict.counterexample == counterexample
+    assert verdict.stats["check_calls"] == check_calls
+    assert verdict.stats["descriptors_explored"] == explored
+
+
+SAT_PINS = (
+    # Satisfied exactly when x1 & !x3 & x4, whatever x2 is.
+    (CnfFormula(4, ((1, 2), (1, -2), (-3, 4), (-3, -4), (2, 4), (-2, 3, 4))),
+     "fails", ("w0", "w1_T", "w2_F", "w3_F"), 9, 46),
+    # Every sign pattern of (x1, x2) forces a contradiction on x3, x4 or x5.
+    (CnfFormula(5, ((1, 2, 3), (1, 2, -3), (1, -2, 3), (1, -2, -3),
+                    (-1, 2, 4), (-1, 2, -4), (-1, -2, 5), (-1, -2, -5))),
+     "holds", None, 94, 94),
+)
+
+
+@pytest.mark.parametrize("cnf,result,counterexample,check_calls,explored", SAT_PINS)
+def test_sat_instance_outputs_pinned(cnf, result, counterexample, check_calls, explored):
+    K, gamma = build_sat_instance(cnf)
+    verdict = model_check_univ(K, desugar(gamma))
+    assert verdict.result == result
+    assert verdict.counterexample == counterexample
+    assert verdict.stats["check_calls"] == check_calls
+    assert verdict.stats["descriptors_explored"] == explored
+
+
+def test_univ_counters_pinned():
+    # Totals over random universal checks. They move if the search visits
+    # states or elements in another order, or scans a different set of them.
+    rng = rng_for("univ-counters")
+    totals = {"check_calls": 0, "descriptors_explored": 0, "adjacent_witnesses": 0}
+    fails = 0
+    for _ in range(100):
+        K = random_kripke(rng, min_states=2, max_states=4)
+        verdict = model_check_univ(K, desugar(random_forall_formula(rng, ("p", "q"), modal_budget=3)))
+        fails += verdict.result == "fails"
+        for key in totals:
+            totals[key] += verdict.stats[key]
+    assert fails == 71
+    assert totals == {"check_calls": 1233, "descriptors_explored": 2553, "adjacent_witnesses": 51}
+
+
+# ---------------------------------------------------------------------------
+# [B]/[E] against a brute-force scan of every split
+
+
+def _splits(K):
+    """For each witnessed element d, its splits (x, y) with x.v_fin -> y.v_in
+    and join d, in the canonical order: x over forward(d.v_in), then the
+    successors of x.v_fin, then y over forward of that successor."""
+    forward = {v: witnessed_descriptors(K, v, "forward") for v in K.states}
+    out = {}
+    for v in K.states:
+        for x in forward[v]:
+            for u in K.successors(x.v_fin):
+                for y in forward[u]:
+                    out.setdefault(concat_desc(x, y), []).append((x, y))
+    return forward, out
+
+
+def _brute_split(K, forward, splits, sub, d, prefix):
+    """(ok, witness, found by a split?) for <B> sub (prefix) or <E> sub at d."""
+    known = {}
+
+    def sat(part):
+        if part not in known:
+            known[part] = check_exists(K, sub, part)
+        return known[part]
+
+    if prefix:
+        single = [x for x in forward[d.v_in]
+                  if (x.v_fin, d.v_fin) in K.edges and x.interior | {x.v_fin} == d.interior]
+    else:
+        single = [y for u in K.successors(d.v_in) for y in forward[u]
+                  if y.v_fin == d.v_fin and y.interior | {u} == d.interior]
+    for part in single:
+        ok, wit = sat(part)
+        if ok:
+            return True, (wit + (d.v_fin,) if prefix else (d.v_in,) + wit), False
+    for x, y in splits.get(d, ()):
+        ok, wit = sat(x if prefix else y)
+        if ok:
+            joined = wit + shortest_witness(K, y) if prefix else shortest_witness(K, x) + wit
+            return True, joined, True
+    return False, None, False
+
+
+def test_split_agrees_with_brute_force_scan():
+    rng = rng_for("split-brute")
+    by_split = 0
+    for _ in range(15):
+        K = random_kripke(rng, min_states=2, max_states=3)
+        forward, splits = _splits(K)
+        # A letter holds on fewer states the longer the part, so the
+        # single-state drop often fails and a split has to find the witness.
+        drawn = desugar(random_exists_formula(rng, ("p", "q"), modal_budget=1))
+        subs = (Prop("p"), Prop("q"), drawn)
+        for sub, mod in product(subs, (Modality.B, Modality.E)):
+            phi = Diamond(mod, sub)
+            for v in K.states:
+                for d in forward[v]:
+                    ok, wit, split = _brute_split(K, forward, splits, sub, d, mod is Modality.B)
+                    by_split += split
+                    for use_memo in (True, False):
+                        assert check_exists(K, phi, d, use_memo=use_memo) == (ok, wit)
+    assert by_split >= 40

@@ -17,10 +17,12 @@ from intervalmc.logic import (
     desugar,
     eval_prop,
     formula_size,
+    is_propositional,
     modal_count,
     negate_to_exists,
     parse_formula,
     prop_letters,
+    subformulas,
     to_text,
     val,
 )
@@ -228,3 +230,19 @@ def test_val_matches_track_label_evaluation():
 def test_modal_count():
     assert modal_count(parse_formula("p & q")) == 0
     assert modal_count(parse_formula("<A>(p | [B] q)")) == 2
+
+
+def test_subformulas_postorder_with_duplicates():
+    p, q = Prop("p"), Prop("q")
+    inner = Diamond(Modality.A, Or(p, q))
+    phi = And(Not(p), inner)
+    assert list(subformulas(phi)) == [p, Not(p), p, q, Or(p, q), inner, phi]
+
+
+def test_deep_not_chain_walks_without_recursion():
+    phi = Prop("p")
+    for _ in range(5000):
+        phi = Not(phi)
+    assert formula_size(phi) == 5001
+    assert is_propositional(phi)
+    assert not is_propositional(Diamond(Modality.A, phi))
