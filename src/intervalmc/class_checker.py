@@ -4,28 +4,20 @@ last state).
 Truth of a formula whose modalities reach only adjacent tracks and right
 extensions depends on a track only through the letters of the formula
 that hold on it and its last state, so each equivalence class can be
-evaluated once. Classes are generated lazily from the length-2 seed
-tracks and closed under single-state extension.
+evaluated once. Classes are generated from the length-2 seed tracks and
+closed under single-state extension. A class is a dense int id, keyed by
+letter bitmask * |W| + last state number; one predecessor list serves
+every `<~B>`, and truth sets are int bitsets over ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NotInFragment
-from .logic import (
-    And,
-    Box,
-    Const,
-    Diamond,
-    Implies,
-    Modality,
-    Not,
-    Or,
-    Prop,
-    classify,
-    prop_letters,
-)
+from .logic import And, Box, Const, Diamond, Implies, Modality, Not, Or, Prop
+from .logic import classify, prop_letters, subformulas
 from .descriptor_checker import Verdict
 from .model import KripkeStructure, Track, track_label
 
@@ -47,153 +39,162 @@ def class_of(K: KripkeStructure, psi, rho: Track) -> TrackClass:
     return TrackClass(track_label(K, rho) & prop_letters(psi), rho[-1])
 
 
+def _members(mask: int):
+    """Ids in an int bitset, in increasing order."""
+    bits = bin(mask)[:1:-1]
+    i = bits.find("1")
+    while i >= 0:
+        yield i
+        i = bits.find("1", i + 1)
+
+
 class ClassEngine:
     """Realized classes of a structure and per-class truth of every
     subformula of one formula over the meets/right-extension fragment.
     """
 
     def __init__(self, K: KripkeStructure, psi):
-        frag = classify(psi)
-        if not frag.ab_bar:
+        if not classify(psi).ab_bar:
             raise NotInFragment("class engine expects a formula over <A> and <~B> only")
         self.K = K
         self.psi = psi
         self.pl = prop_letters(psi)
+        self._letters = sorted(self.pl)
+        self._index = {s: i for i, s in enumerate(K.states)}
         self._build_classes()
-        self._truth: dict = {}
-        self._evaluate(psi)
-
-    def _seed(self, v, w) -> TrackClass:
-        return TrackClass(self.K.labels[v] & self.K.labels[w] & self.pl, w)
-
-    def _step(self, c: TrackClass, w) -> TrackClass:
-        return TrackClass(c.letters & self.K.labels[w] & self.pl, w)
+        self._truth = self._evaluate()
 
     def _build_classes(self):
-        K = self.K
-        seeds_by_state = {
-            v: tuple(self._seed(v, w) for w in K.successors(v)) for v in K.states
+        K, index, n = self.K, self._index, len(self.K.states)
+        bit = {p: 1 << i for i, p in enumerate(self._letters)}
+        label = [sum(bit[p] for p in K.labels[s] & self.pl) for s in K.states]
+        out = [[index[w] for w in K.successors(s)] for s in K.states]
+        ids: dict = {}
+        keys: list = []
+
+        def intern(key):
+            c = ids.get(key)
+            if c is None:
+                c = ids[key] = len(keys)
+                keys.append(key)
+            return c
+
+        self._seeds = [[intern((label[v] & label[w]) * n + w) for w in out[v]] for v in range(n)]
+        # Ids are handed out in discovery order, so id order is breadth-first.
+        succ: list = []
+        while len(succ) < len(keys):
+            mask, last = divmod(keys[len(succ)], n)
+            succ.append([intern((mask & label[w]) * n + w) for w in out[last]])
+        pred: list = [[] for _ in keys]
+        for c, row in enumerate(succ):
+            for c2 in row:
+                pred[c2].append(c)
+        self._keys, self._succ, self._pred = keys, succ, pred
+        by_last, by_mask = [[] for _ in range(n)], {}
+        for c, key in enumerate(keys):
+            by_last[key % n].append(c)
+            by_mask.setdefault(key // n, []).append(c)
+        self._by_last = [self._bitset(group) for group in by_last]
+        self._prop = {
+            p: self._bitset(c for m, group in by_mask.items() if m & b for c in group) for p, b in bit.items()
         }
-        classes: set = set()
-        frontier: list = []
-        for v in sorted(K.states):
-            for c in seeds_by_state[v]:
-                if c not in classes:
-                    classes.add(c)
-                    frontier.append(c)
-        succ: dict = {}
-        while frontier:
-            nxt = []
-            for c in frontier:
-                succ[c] = tuple(self._step(c, w) for w in K.successors(c.last))
-                for c2 in succ[c]:
-                    if c2 not in classes:
-                        classes.add(c2)
-                        nxt.append(c2)
-            frontier = nxt
-        for c in classes:
-            if c not in succ:
-                succ[c] = tuple(self._step(c, w) for w in K.successors(c.last))
-        self.classes = frozenset(classes)
-        self._succ = succ
-        self._from: dict = {}
-        for v in K.states:
-            reach = set(seeds_by_state[v])
-            todo = list(reach)
-            while todo:
-                c = todo.pop()
-                for c2 in self._succ[c]:
-                    if c2 not in reach:
-                        reach.add(c2)
-                        todo.append(c2)
-            self._from[v] = frozenset(reach)
+        self._from = [self._bitset(seeds) | self._reach(seeds, succ) for seeds in self._seeds]
+
+    def _bitset(self, ids) -> int:
+        """Bitset of `ids`, built as ASCII "0"/"1" flags (48/49) read in base 2."""
+        flags = bytearray(b"0") * len(self._keys)
+        for c in ids:
+            flags[c] = 49
+        return int(flags[::-1], 2)
+
+    def _reach(self, start, edges) -> int:
+        """Ids reached from `start` by a path of length >= 1 over `edges`."""
+        flags = bytearray(b"0") * len(self._keys)
+        todo = list(start)
+        while todo:
+            for c in edges[todo.pop()]:
+                if flags[c] == 48:
+                    flags[c] = 49
+                    todo.append(c)
+        return int(flags[::-1], 2)
+
+    @cached_property
+    def _id_of(self) -> dict:
+        """Id of every realized class, in id order."""
+        n, letters = len(self.K.states), self._letters
+        return {
+            TrackClass(frozenset(p for i, p in enumerate(letters) if key // n >> i & 1), self.K.states[key % n]): c
+            for c, key in enumerate(self._keys)
+        }
+
+    @cached_property
+    def classes(self) -> frozenset:
+        """Every realized class."""
+        return frozenset(self._id_of)
 
     def classes_from(self, v) -> frozenset:
         """Classes of the tracks starting at `v`."""
-        return self._from[v]
+        named = list(self._id_of)
+        return frozenset(named[c] for c in _members(self._from[self._index[v]]))
 
     def truth(self, phi, c: TrackClass) -> bool:
         """Truth of a subformula on every track of the class."""
-        return c in self._truth[phi]
+        sat = self._truth[phi]
+        cid = self._id_of.get(c)
+        return cid is not None and bool(sat >> cid & 1)
 
-    def _evaluate(self, phi) -> frozenset:
-        done = self._truth.get(phi)
-        if done is not None:
-            return done
-        if isinstance(phi, Prop):
-            sat = frozenset(c for c in self.classes if phi.name in c.letters)
-        elif isinstance(phi, Const):
-            sat = self.classes if phi.value else frozenset()
-        elif isinstance(phi, Not):
-            sat = self.classes - self._evaluate(phi.sub)
-        elif isinstance(phi, And):
-            sat = self._evaluate(phi.left) & self._evaluate(phi.right)
-        elif isinstance(phi, Or):
-            sat = self._evaluate(phi.left) | self._evaluate(phi.right)
-        elif isinstance(phi, Implies):
-            sat = (self.classes - self._evaluate(phi.left)) | self._evaluate(phi.right)
-        elif isinstance(phi, (Diamond, Box)) and phi.mod is Modality.A:
-            sub = self._evaluate(phi.sub)
-            if isinstance(phi, Diamond):
-                good = {v for v in self.K.states if self._from[v] & sub}
-            else:
-                good = {v for v in self.K.states if self._from[v] <= sub}
-            sat = frozenset(c for c in self.classes if c.last in good)
-        elif isinstance(phi, (Diamond, Box)) and phi.mod is Modality.BBAR:
-            sub = self._evaluate(phi.sub)
-            if isinstance(phi, Diamond):
-                sat = self._can_reach(sub)
-            else:
-                sat = self.classes - self._can_reach(self.classes - sub)
-        else:
-            raise NotInFragment(f"node outside the fragment: {phi!r}")
-        self._truth[phi] = sat
-        return sat
-
-    def _can_reach(self, targets) -> frozenset:
-        """Classes with a successor path of length >= 1 into `targets`."""
-        pred: dict = {c: [] for c in self.classes}
-        for c in self.classes:
-            for c2 in self._succ[c]:
-                pred[c2].append(c)
-        reached = set()
-        frontier = [c for c in targets]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for p in pred[c]:
-                    if p not in reached:
-                        reached.add(p)
-                        nxt.append(p)
-            frontier = nxt
-        return frozenset(reached)
-
-    def find_initial_track(self, violating) -> Track:
-        """Shortest initial track whose class is in `violating`, by
-        breadth-first search with visited-class pruning.
-        """
-        K = self.K
-        seen = set()
-        frontier = []
-        for w in K.successors(K.init):
-            c = self._seed(K.init, w)
-            if c in seen:
+    def _evaluate(self) -> dict:
+        truth, full = {}, (1 << len(self._keys)) - 1
+        for phi in subformulas(self.psi):
+            if phi in truth:
                 continue
-            seen.add(c)
-            if c in violating:
-                return (K.init, w)
-            frontier.append((c, (K.init, w)))
+            if isinstance(phi, Prop):
+                sat = self._prop[phi.name]
+            elif isinstance(phi, Const):
+                sat = full if phi.value else 0
+            elif isinstance(phi, Not):
+                sat = full ^ truth[phi.sub]
+            elif isinstance(phi, And):
+                sat = truth[phi.left] & truth[phi.right]
+            elif isinstance(phi, Or):
+                sat = truth[phi.left] | truth[phi.right]
+            elif isinstance(phi, Implies):
+                sat = (full ^ truth[phi.left]) | truth[phi.right]
+            elif isinstance(phi, (Diamond, Box)) and phi.mod in (Modality.A, Modality.BBAR):
+                # A box is the complement of the diamond of the complement.
+                box = isinstance(phi, Box)
+                sub = full ^ truth[phi.sub] if box else truth[phi.sub]
+                if phi.mod is Modality.A:
+                    # Classes with distinct last states are distinct, so this sum is a union.
+                    sat = sum(lasts for reach, lasts in zip(self._from, self._by_last) if reach & sub)
+                else:
+                    sat = self._reach(_members(sub), self._pred)
+                if box:
+                    sat ^= full
+            else:
+                raise NotInFragment(f"node outside the fragment: {phi!r}")
+            truth[phi] = sat
+        return truth
+
+    def find_initial_track(self, violating: int) -> Track:
+        """Shortest initial track whose class is in the bitset `violating`,
+        by breadth-first search with visited-class pruning.
+        """
+        K, n = self.K, len(self.K.states)
+        bad = format(violating, f"0{len(self._keys)}b")[::-1]
+        seen = bytearray(len(self._keys))
+        frontier = [((K.init,), self._seeds[self._index[K.init]])]
         while frontier:
             nxt = []
-            for c, track in frontier:
-                for w in K.successors(c.last):
-                    c2 = self._step(c, w)
-                    if c2 in seen:
+            for track, row in frontier:
+                for c in row:
+                    if seen[c]:
                         continue
-                    seen.add(c2)
-                    if c2 in violating:
-                        return track + (w,)
-                    nxt.append((c2, track + (w,)))
+                    seen[c] = 1
+                    longer = track + (K.states[self._keys[c] % n],)
+                    if bad[c] == "1":
+                        return longer
+                    nxt.append((longer, self._succ[c]))
             frontier = nxt
         raise RuntimeError("violating class is not realized from the initial state")
 
@@ -204,9 +205,8 @@ def check_ab(K: KripkeStructure, psi) -> Verdict:
     initial counterexample track.
     """
     engine = ClassEngine(K, psi)
-    sat = engine._truth[psi]
-    violating = engine.classes_from(K.init) - sat
-    stats = {"classes_realized": len(engine.classes)}
+    violating = engine._from[engine._index[K.init]] & ~engine._truth[psi]
+    stats = {"classes_realized": len(engine._keys)}
     if not violating:
         return Verdict("holds", None, "class", stats)
     track = engine.find_initial_track(violating)

@@ -429,20 +429,7 @@ def parse_kripke(text: str) -> KripkeStructure:
         raise ValidationError("MissingInit")
     if not states:
         raise ParseError("no state lines")
-
-    known = set(states)
-    for p_list in labels.values():
-        for p in p_list:
-            if p not in ap:
-                raise ValidationError("UnknownProposition", p)
-    if init not in known:
-        raise ValidationError("UnknownState", init)
-    for a, b in edges:
-        if a not in known:
-            raise ValidationError("UnknownState", a)
-        if b not in known:
-            raise ValidationError("UnknownState", b)
-
+    # The constructor rejects unknown propositions, states and edge ends.
     return KripkeStructure(ap=ap, states=states, edges=edges, labels=labels, init=init)
 
 

@@ -138,8 +138,8 @@ def random_cnf(rng, max_vars=6, max_clauses=12):
     return CnfFormula(n, tuple(clauses))
 
 
-def random_qbf(rng, max_vars=4, max_clauses=8):
-    n = rng.randint(1, max_vars)
+def random_qbf(rng, max_vars=4, max_clauses=8, min_vars=1):
+    n = rng.randint(min_vars, max_vars)
     order = list(range(1, n + 1))
     rng.shuffle(order)
     prefix = tuple((rng.choice("ea"), v) for v in order)

@@ -3,7 +3,22 @@ import pytest
 from intervalmc import KripkeStructure, enumerate_tracks, is_track, track_label
 from intervalmc.class_checker import ClassEngine, TrackClass, check_ab, class_of
 from intervalmc.errors import NotInFragment
-from intervalmc.logic import classify, desugar, modal_count, parse_formula, prop_letters, subformulas
+from intervalmc.logic import (
+    And,
+    Const,
+    Diamond,
+    Implies,
+    Modality,
+    Not,
+    Or,
+    Prop,
+    classify,
+    desugar,
+    modal_count,
+    parse_formula,
+    prop_letters,
+    subformulas,
+)
 from intervalmc.reductions import CnfFormula, QbfFormula, build_qbf_instance
 from intervalmc.tracknfa import accepts_track, compile_positive
 
@@ -159,3 +174,126 @@ def test_positive_fragment_agrees_with_bounded_automaton():
             ce = verdict.counterexample
             bound_ce = len(ce) + slack
             assert not accepts_track(compile_positive(K, psi, bound_ce), ce, bound_ce)
+
+
+class _FrozensetEngine:
+    """Reference copy of the class engine before class ids: classes are
+    `TrackClass` values closed as a set, truth sets are frozensets filled by
+    recursive evaluation, and `<~B>` searches backwards over a predecessor
+    map built for each call."""
+
+    def __init__(self, K, psi):
+        self.K, self.pl = K, prop_letters(psi)
+        seeds = {v: [self._step(K.labels[v], w) for w in K.successors(v)] for v in K.states}
+        self.succ, frontier = {}, [c for v in sorted(K.states) for c in seeds[v]]
+        while frontier:
+            c = frontier.pop()
+            if c not in self.succ:
+                self.succ[c] = [self._step(c.letters, w) for w in K.successors(c.last)]
+                frontier.extend(self.succ[c])
+        self.classes = frozenset(self.succ)
+        self.from_ = {v: self._closure(seeds[v]) for v in K.states}
+        self.sat = {}
+        self.eval(psi)
+
+    def _step(self, letters, w):
+        return TrackClass(letters & self.K.labels[w] & self.pl, w)
+
+    def _closure(self, start):
+        reach, todo = set(start), list(start)
+        while todo:
+            for c2 in self.succ[todo.pop()]:
+                if c2 not in reach:
+                    reach.add(c2)
+                    todo.append(c2)
+        return frozenset(reach)
+
+    def _can_reach(self, targets):
+        pred = {c: [] for c in self.classes}
+        for c in self.classes:
+            for c2 in self.succ[c]:
+                pred[c2].append(c)
+        reached, todo = set(), list(targets)
+        while todo:
+            for p in pred[todo.pop()]:
+                if p not in reached:
+                    reached.add(p)
+                    todo.append(p)
+        return frozenset(reached)
+
+    def eval(self, phi):
+        if phi not in self.sat:
+            self.sat[phi] = self._eval(phi)
+        return self.sat[phi]
+
+    def _eval(self, phi):
+        every = self.classes
+        if isinstance(phi, Prop):
+            return frozenset(c for c in every if phi.name in c.letters)
+        if isinstance(phi, Const):
+            return every if phi.value else frozenset()
+        if isinstance(phi, Not):
+            return every - self.eval(phi.sub)
+        if isinstance(phi, And):
+            return self.eval(phi.left) & self.eval(phi.right)
+        if isinstance(phi, Or):
+            return self.eval(phi.left) | self.eval(phi.right)
+        if isinstance(phi, Implies):
+            return (every - self.eval(phi.left)) | self.eval(phi.right)
+        sub = self.eval(phi.sub)
+        if phi.mod is Modality.A:
+            if isinstance(phi, Diamond):
+                good = {v for v in self.K.states if self.from_[v] & sub}
+            else:
+                good = {v for v in self.K.states if self.from_[v] <= sub}
+            return frozenset(c for c in every if c.last in good)
+        if isinstance(phi, Diamond):
+            return self._can_reach(sub)
+        return every - self._can_reach(every - sub)
+
+    def check(self, psi):
+        """(result, counterexample): breadth-first search from the initial
+        state for the shortest initial track of a violating class."""
+        K = self.K
+        violating = self.from_[K.init] - self.sat[psi]
+        if not violating:
+            return "holds", None
+        seen, frontier = set(), [(K.init,)]
+        while frontier:
+            nxt = []
+            for track in frontier:
+                letters = K.labels[track[0]] if len(track) == 1 else self._class(track).letters
+                for w in K.successors(track[-1]):
+                    c = self._step(letters, w)
+                    if c not in seen:
+                        seen.add(c)
+                        if c in violating:
+                            return "fails", track + (w,)
+                        nxt.append(track + (w,))
+            frontier = nxt
+        raise AssertionError("violating class not reached")
+
+    def _class(self, track):
+        return TrackClass(track_label(self.K, track) & self.pl, track[-1])
+
+
+def test_class_ids_agree_with_frozenset_reference():
+    rng = rng_for("class-ids-vs-frozensets")
+    letters = ("p", "q", "r")
+    fails = 0
+    for _ in range(200):
+        K = random_kripke(rng, max_states=6, letters=letters)
+        psi = desugar(random_ab_formula(rng, letters, max_nodes=8))
+        ref = _FrozensetEngine(K, psi)
+        engine = ClassEngine(K, psi)
+        assert engine.classes == ref.classes
+        for v in K.states:
+            assert engine.classes_from(v) == ref.from_[v]
+        for sub in set(subformulas(psi)):
+            for c in ref.classes:
+                assert engine.truth(sub, c) == (c in ref.sat[sub])
+        verdict = check_ab(K, psi)
+        assert (verdict.result, verdict.counterexample) == ref.check(psi)
+        assert verdict.stats["classes_realized"] == len(ref.classes)
+        fails += verdict.result == "fails"
+    assert 40 <= fails <= 160

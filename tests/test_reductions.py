@@ -1,7 +1,7 @@
 import pytest
 
-from intervalmc import parse_kripke, format_kripke
-from intervalmc.class_checker import check_ab
+from intervalmc import is_track, parse_kripke, format_kripke
+from intervalmc.class_checker import ClassEngine, check_ab, class_of
 from intervalmc.descriptor_checker import model_check_univ
 from intervalmc.errors import NonPrenex, OutOfRangeLiteral, ParseError, TooManyVariables
 from intervalmc.logic import classify, desugar, parse_formula, prop_letters, to_text
@@ -196,6 +196,24 @@ def test_qbf_instance_differential_small():
         qbf = random_qbf(rng, max_vars=3, max_clauses=5)
         K, xi = build_qbf_instance(qbf)
         assert brute_qbf(qbf) == check_ab(K, xi).holds
+
+
+def test_qbf_instance_differential_at_benchmark_sizes():
+    # 5-7 variables, as in the smaller benchmark instances; every
+    # counterexample is an initial track whose class falsifies the formula.
+    rng = rng_for("qbf-mid")
+    verdicts = []
+    for _ in range(24):
+        qbf = random_qbf(rng, max_vars=7, max_clauses=9, min_vars=5)
+        K, xi = build_qbf_instance(qbf)
+        verdict = check_ab(K, xi)
+        assert brute_qbf(qbf) == verdict.holds
+        verdicts.append(verdict.result)
+        if verdict.result == "fails":
+            ce = verdict.counterexample
+            assert is_track(K, ce) and ce[0] == K.init == "w0"
+            assert not ClassEngine(K, xi).truth(xi, class_of(K, xi, ce))
+    assert {"holds", "fails"} <= set(verdicts)
 
 
 def test_qbf_instance_round_trip_through_files(tmp_path):
