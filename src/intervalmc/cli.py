@@ -88,7 +88,7 @@ def cmd_check(args) -> int:
             return EXIT_INPUT_ERROR
         bv = oracle.model_check_bounded(K, desugared, bound)
         counterexample = None
-        stats = {}
+        stats = {"initial_tracks": bv.initial_tracks}
         if not bv.value and frag.forall_aabe:
             # A bounded refutation of a universal-fragment formula is exact.
             result = "fails"

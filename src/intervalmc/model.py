@@ -252,18 +252,16 @@ def enumerate_tracks(
     if start is not None and start not in K.labels:
         raise ValidationError("UnknownState", start)
     starts = (start,) if start is not None else tuple(sorted(K.states))
-
-    def extend(prefix: Track, remaining: int) -> Iterator[Track]:
-        for w in K.successors(prefix[-1]):
-            t = prefix + (w,)
-            if remaining == 1:
-                yield t
-            else:
-                yield from extend(t, remaining - 1)
-
     for length in range(2, max_len + 1):
-        for s in starts:
-            yield from extend((s,), length - 1)
+        # Depth first over the prefixes, so memory stays linear in the length.
+        stack = [(s,) for s in reversed(starts)]
+        while stack:
+            t = stack.pop()
+            if len(t) + 1 == length:
+                for w in K.successors(t[-1]):
+                    yield t + (w,)
+            else:
+                stack += [t + (w,) for w in reversed(K.successors(t[-1]))]
 
 
 def restrict_labels(K: KripkeStructure, letters: Iterable[str]) -> KripkeStructure:

@@ -7,6 +7,15 @@ bounded `false` is exact. The implementation favours being obviously
 correct over speed: it enumerates quantified tracks outright and is only
 meant for small bounds. `tracknfa` provides the scalable counterpart for
 the positive diamond fragment.
+
+An evaluator compiles each formula once into a node table shared by all
+formulas it sees: a node is `(kind, a, b)` with child node ids (the name
+of a `Prop`, the value of a `Const`), or `(modality, sub id, is_diamond)`.
+Every node but a constant has its own memo keyed by the track, or by the
+last (`<A>`) or first (`<~A>`) state, on which alone those two depend.
+`<B>` ranges over prefixes, `<E>` over suffixes, and the other four
+modalities over extensions up to the bound, produced by one depth-first
+walker for both directions.
 """
 
 from __future__ import annotations
@@ -16,8 +25,10 @@ from typing import Optional
 
 from . import logic
 from .errors import BoundTooSmall
-from .logic import Box, Diamond, Modality
+from .logic import And, Box, Const, Diamond, Implies, Modality, Not, Or, Prop
 from .model import KripkeStructure, Track, enumerate_tracks, track_label
+
+_A, _ABAR, _B, _E, _BBAR = Modality.A, Modality.ABAR, Modality.B, Modality.E, Modality.BBAR
 
 
 @dataclass(frozen=True)
@@ -25,6 +36,8 @@ class BoundedVerdict:
     value: bool
     bound: int
     failing_track: Optional[Track] = None
+    # Initial tracks evaluated: all of them, or up to the failing one.
+    initial_tracks: int = 0
 
 
 def default_bound(K: KripkeStructure, phi) -> int:
@@ -36,125 +49,106 @@ def default_bound(K: KripkeStructure, phi) -> int:
 
 
 class BoundedEvaluator:
-    """Memoized recursive evaluation of desugared formulas over tracks."""
+    """Memoized evaluation of desugared formulas over tracks."""
 
     def __init__(self, K: KripkeStructure, bound: int):
         if bound < 2:
             raise ValueError("bound must be at least 2")
         self.K = K
         self.bound = bound
-        self._memo: dict = {}
-        self._quant: dict = {}
+        self._ids: dict = {}
+        self._nodes: list = []
+        self._memo: list = []
+
+    def compile(self, phi) -> int:
+        """Node id of `phi`, interning it and its subformulas on first use."""
+        ids = self._ids
+        hit = ids.get(phi)
+        if hit is not None:
+            return hit
+        for f in logic.subformulas(phi):
+            if f in ids:
+                continue
+            if isinstance(f, Prop):
+                node = (Prop, f.name, None)
+            elif isinstance(f, Const):
+                node = (Const, f.value, None)
+            elif isinstance(f, Not):
+                node = (Not, ids[f.sub], None)
+            elif isinstance(f, (And, Or, Implies)):
+                node = (type(f), ids[f.left], ids[f.right])
+            elif not isinstance(f, (Diamond, Box)):
+                raise TypeError(f"not a formula node: {f!r}")
+            elif not f.mod.primitive:
+                raise ValueError("bounded evaluation expects a desugared formula")
+            else:
+                node = (f.mod, ids[f.sub], isinstance(f, Diamond))
+            ids[f] = len(self._nodes)
+            self._nodes.append(node)
+            self._memo.append({})
+        return ids[phi]
 
     def eval(self, rho: Track, phi) -> bool:
         rho = tuple(rho)
         if len(rho) > self.bound:
             raise BoundTooSmall(f"track of length {len(rho)} exceeds bound {self.bound}")
-        key = (phi, rho)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._eval(rho, phi)
-        self._memo[key] = out
+        return self._value(self.compile(phi), rho)
+
+    def _value(self, i: int, rho: Track) -> bool:
+        """Truth of node `i` on the track `rho`, of length at most the bound."""
+        kind, a, b = self._nodes[i]
+        if kind is Const:
+            return a
+        key = rho[-1] if kind is _A else rho[0] if kind is _ABAR else rho
+        memo = self._memo[i]
+        out = memo.get(key)
+        if out is not None:
+            return out
+        if kind is Prop:
+            out = a in track_label(self.K, rho)
+        elif kind is Not:
+            out = not self._value(a, rho)
+        elif kind is And:
+            out = self._value(a, rho) and self._value(b, rho)
+        elif kind is Or:
+            out = self._value(a, rho) or self._value(b, rho)
+        elif kind is Implies:
+            out = not self._value(a, rho) or self._value(b, rho)
+        else:
+            if kind is _B:
+                domain = (rho[:j] for j in range(2, len(rho)))
+            elif kind is _E:
+                domain = (rho[j:] for j in range(1, len(rho) - 1))
+            elif kind is _A or kind is _ABAR:
+                domain = self._walk((key,), kind is _A)
+            else:
+                domain = self._walk(rho, kind is _BBAR)
+            out = not b
+            for t in domain:
+                if self._value(a, t) == b:
+                    out = b
+                    break
+        memo[key] = out
         return out
 
-    def _eval(self, rho, phi) -> bool:
-        K = self.K
-        if isinstance(phi, logic.Prop):
-            return phi.name in track_label(K, rho)
-        if isinstance(phi, logic.Const):
-            return phi.value
-        if isinstance(phi, logic.Not):
-            return not self.eval(rho, phi.sub)
-        if isinstance(phi, logic.And):
-            return self.eval(rho, phi.left) and self.eval(rho, phi.right)
-        if isinstance(phi, logic.Or):
-            return self.eval(rho, phi.left) or self.eval(rho, phi.right)
-        if isinstance(phi, logic.Implies):
-            return not self.eval(rho, phi.left) or self.eval(rho, phi.right)
-        if not isinstance(phi, (Diamond, Box)):
-            raise TypeError(f"not a formula node: {phi!r}")
-        if not phi.mod.primitive:
-            raise ValueError("bounded evaluation expects a desugared formula")
-        want = isinstance(phi, Diamond)
-        sub = phi.sub
-        if phi.mod is Modality.A:
-            return self._quantify_forward(rho[-1], sub, want)
-        if phi.mod is Modality.ABAR:
-            return self._quantify_backward(rho[0], sub, want)
-        if phi.mod is Modality.B:
-            prefixes = (rho[:i] for i in range(2, len(rho)))
-            return self._quantify_over(prefixes, sub, want)
-        if phi.mod is Modality.E:
-            suffixes = (rho[i:] for i in range(1, len(rho) - 1))
-            return self._quantify_over(suffixes, sub, want)
-        if phi.mod is Modality.BBAR:
-            return self._quantify_over(self._right_extensions(rho), sub, want)
-        return self._quantify_over(self._left_extensions(rho), sub, want)
-
-    def _quantify_over(self, tracks, sub, want_exists) -> bool:
-        for t in tracks:
-            if self.eval(t, sub) == want_exists:
-                return want_exists
-        return not want_exists
-
-    def _quantify_forward(self, v, sub, want_exists) -> bool:
-        key = (sub, v, "fwd", want_exists)
-        hit = self._quant.get(key)
-        if hit is None:
-            hit = self._quantify_over(self._tracks_from(v), sub, want_exists)
-            self._quant[key] = hit
-        return hit
-
-    def _quantify_backward(self, v, sub, want_exists) -> bool:
-        key = (sub, v, "bwd", want_exists)
-        hit = self._quant.get(key)
-        if hit is None:
-            hit = self._quantify_over(self._tracks_to(v), sub, want_exists)
-            self._quant[key] = hit
-        return hit
-
-    def _tracks_from(self, v):
-        def extend(prefix):
-            for w in self.K.successors(prefix[-1]):
-                t = prefix + (w,)
-                yield t
-                if len(t) < self.bound:
-                    yield from extend(t)
-
-        yield from extend((v,))
-
-    def _tracks_to(self, v):
-        def extend(suffix):
-            for w in self.K.predecessors(suffix[0]):
-                t = (w,) + suffix
-                yield t
-                if len(t) < self.bound:
-                    yield from extend(t)
-
-        yield from extend((v,))
-
-    def _right_extensions(self, rho):
-        def extend(t):
-            for w in self.K.successors(t[-1]):
-                u = t + (w,)
-                yield u
-                if len(u) < self.bound:
-                    yield from extend(u)
-
-        if len(rho) < self.bound:
-            yield from extend(tuple(rho))
-
-    def _left_extensions(self, rho):
-        def extend(t):
-            for w in self.K.predecessors(t[0]):
-                u = (w,) + t
-                yield u
-                if len(u) < self.bound:
-                    yield from extend(u)
-
-        if len(rho) < self.bound:
-            yield from extend(tuple(rho))
+    def _walk(self, track, forward: bool):
+        """Every extension of `track` by one or more states, to the right if
+        `forward` and to the left otherwise, up to the bound: depth first,
+        each extension before its own, in the order of `K`'s successors
+        (predecessors)."""
+        bound, K = self.bound, self.K
+        stack = []
+        t = track
+        while True:
+            if len(t) < bound:
+                if forward:
+                    stack += [t + (w,) for w in reversed(K.successors(t[-1]))]
+                else:
+                    stack += [(w,) + t for w in reversed(K.predecessors(t[0]))]
+            if not stack:
+                return
+            t = stack.pop()
+            yield t
 
 
 def eval_bounded(K: KripkeStructure, rho: Track, phi, bound: int) -> bool:
@@ -167,7 +161,10 @@ def model_check_bounded(K: KripkeStructure, phi, bound: int) -> BoundedVerdict:
     length at most the bound.
     """
     ev = BoundedEvaluator(K, bound)
+    root = ev.compile(phi)
+    count = 0
     for rho in enumerate_tracks(K, bound, start=K.init):
-        if not ev.eval(rho, phi):
-            return BoundedVerdict(False, bound, rho)
-    return BoundedVerdict(True, bound)
+        count += 1
+        if not ev._value(root, rho):
+            return BoundedVerdict(False, bound, rho, count)
+    return BoundedVerdict(True, bound, None, count)

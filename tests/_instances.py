@@ -21,6 +21,7 @@ from intervalmc.reductions import CnfFormula, QbfFormula
 EXISTS_MODS = (Modality.A, Modality.B, Modality.E, Modality.ABAR)
 AB_MODS = (Modality.A, Modality.BBAR)
 POSITIVE_MODS = (Modality.A, Modality.ABAR, Modality.B, Modality.E, Modality.BBAR)
+HS_MODS = POSITIVE_MODS + (Modality.EBAR,)
 
 
 def random_kripke(rng, min_states=1, max_states=4, letters=("p", "q")):
@@ -125,6 +126,26 @@ def random_positive_formula(rng, letters, modal_budget=3):
     return Diamond(
         rng.choice(POSITIVE_MODS), random_positive_formula(rng, letters, modal_budget - 1)
     )
+
+
+def random_hs_formula(rng, letters, modal_budget=3):
+    """Formula over all six primitive modalities, each as a diamond or a
+    box, under every Boolean connective, with at most `modal_budget` modal
+    nodes."""
+    r = rng.random()
+    if modal_budget == 0 or r < 0.2:
+        return random_beta(rng, letters, 1)
+    if r < 0.3:
+        return Not(random_hs_formula(rng, letters, modal_budget))
+    if r < 0.55:
+        node = rng.choice((And, Or, Implies))
+        k = rng.randint(0, modal_budget)
+        return node(
+            random_hs_formula(rng, letters, k),
+            random_hs_formula(rng, letters, modal_budget - k),
+        )
+    node = Diamond if rng.random() < 0.5 else Box
+    return node(rng.choice(HS_MODS), random_hs_formula(rng, letters, modal_budget - 1))
 
 
 def random_cnf(rng, max_vars=6, max_clauses=12):

@@ -1,6 +1,6 @@
 import json
 
-from intervalmc import parse_kripke
+from intervalmc import enumerate_tracks, parse_kripke
 from intervalmc.cli import main
 
 
@@ -128,6 +128,23 @@ def test_check_oracle_bounded_refutation_is_exact(kequiv_path, capsys):
     assert report["result"] == "fails"
     assert report["bound"] == 4
     assert report["counterexample"] == ["v0", "v1"]
+
+
+def test_check_oracle_counts_initial_tracks(kequiv_path, capsys):
+    # All initial tracks up to the bound when none fails; otherwise up to
+    # the failing one, whose 1-based position in enumeration order it is.
+    K = parse_kripke(open(kequiv_path).read())
+    tracks = list(enumerate_tracks(K, 4, start=K.init))
+    argv = ("check", "--model", str(kequiv_path), "--engine", "oracle", "--bound", "4", "--json")
+    code, out, _ = run(capsys, *argv, "--formula", "<~B> true | <B> true")
+    report = json.loads(out)
+    assert (code, report["result"]) == (4, "approximate-true")
+    assert report["stats"]["initial_tracks"] == len(tracks) == 14
+    code, out, _ = run(capsys, *argv, "--formula", "[E] p")
+    report = json.loads(out)
+    assert (code, report["result"]) == (1, "fails")
+    failing = tuple(report["counterexample"])
+    assert report["stats"]["initial_tracks"] == tracks.index(failing) + 1 == 4
 
 
 def test_check_input_error_exit_two(tmp_path, capsys):

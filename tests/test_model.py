@@ -322,6 +322,24 @@ def test_enumerate_tracks_order_and_uniqueness():
             assert is_track(K, t)
 
 
+def test_enumerate_tracks_matches_product_reference():
+    # Every state sequence of each length, in lexicographic order, kept
+    # when it is a track: the same tracks in the same order.
+    rng = rng_for("enumproduct")
+    for _ in range(30):
+        K = random_kripke(rng)
+        states = sorted(K.states)
+        for max_len in range(2, 7):
+            for start in (None, K.init):
+                expected = [
+                    t
+                    for n in range(2, max_len + 1)
+                    for t in itertools.product(states, repeat=n)
+                    if is_track(K, t) and (start is None or t[0] == start)
+                ]
+                assert list(enumerate_tracks(K, max_len, start=start)) == expected
+
+
 def test_enumerate_tracks_rejects_small_bound(kequiv):
     with pytest.raises(ValueError):
         list(enumerate_tracks(kequiv, 1))

@@ -3,12 +3,17 @@ import pytest
 from intervalmc import descriptor_of, enumerate_tracks
 from intervalmc.errors import BoundTooSmall, NotInFragment
 from intervalmc.logic import (
+    FALSE,
+    And,
     Box,
     Diamond,
+    Implies,
     Modality,
     desugar,
     negate_to_exists,
     Not,
+    Or,
+    Prop,
     parse_formula,
 )
 from intervalmc.oracle import BoundedEvaluator, default_bound, eval_bounded, model_check_bounded
@@ -16,9 +21,11 @@ from intervalmc.reductions import CnfFormula, build_sat_instance
 from intervalmc.tracknfa import accepts_track, compile_positive, find_satisfying_track
 
 from _instances import (
+    HS_MODS,
     random_beta,
     random_exists_formula,
     random_forall_formula,
+    random_hs_formula,
     random_kripke,
     random_positive_formula,
     random_track,
@@ -44,6 +51,14 @@ def test_eval_bounded_rejects_long_track(kequiv):
 def test_eval_bounded_rejects_sugar(kequiv):
     with pytest.raises(ValueError):
         eval_bounded(kequiv, ("v0", "v1"), parse_formula("<D> p"), 4)
+
+
+def test_eval_bounded_rejects_sugar_in_unreached_branch(kequiv):
+    # The whole formula is compiled before evaluation, so sugar is refused
+    # even where `false &` short-circuits it.
+    phi = And(FALSE, Diamond(Modality.D, Prop("p")))
+    with pytest.raises(ValueError):
+        eval_bounded(kequiv, ("v0", "v1"), phi, 4)
 
 
 def test_model_check_bounded_examples(kequiv):
@@ -422,6 +437,99 @@ def test_evaluator_matches_reference_clauses():
         for phi in parts:
             for rho in enumerate_tracks(K, bound):
                 assert ev.eval(rho, phi) == _reference_eval(K, rho, phi, bound)
+
+
+class _FormulaKeyedEvaluator:
+    """The evaluator as it was before the node table: memo keyed by
+    (formula, track), `<A>`/`<~A>` by (operand, state, direction, polarity),
+    and one recursive generator per extension direction.
+    """
+
+    def __init__(self, K, bound):
+        self.K = K
+        self.bound = bound
+        self._memo = {}
+        self._quant = {}
+
+    def eval(self, rho, phi):
+        key = (phi, rho)
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = self._eval(rho, phi)
+        return hit
+
+    def _eval(self, rho, phi):
+        from intervalmc import logic as lg
+        from intervalmc.model import track_label
+
+        if isinstance(phi, lg.Prop):
+            return phi.name in track_label(self.K, rho)
+        if isinstance(phi, lg.Const):
+            return phi.value
+        if isinstance(phi, lg.Not):
+            return not self.eval(rho, phi.sub)
+        if isinstance(phi, lg.And):
+            return self.eval(rho, phi.left) and self.eval(rho, phi.right)
+        if isinstance(phi, lg.Or):
+            return self.eval(rho, phi.left) or self.eval(rho, phi.right)
+        if isinstance(phi, lg.Implies):
+            return not self.eval(rho, phi.left) or self.eval(rho, phi.right)
+        want, sub, mod = isinstance(phi, Diamond), phi.sub, phi.mod
+        if mod in (Modality.A, Modality.ABAR):
+            v = rho[-1] if mod is Modality.A else rho[0]
+            key = (sub, v, mod, want)
+            if key not in self._quant:
+                forward = mod is Modality.A
+                self._quant[key] = self._any(self._extend((v,), forward), sub, want)
+            return self._quant[key]
+        if mod is Modality.B:
+            return self._any((rho[:i] for i in range(2, len(rho))), sub, want)
+        if mod is Modality.E:
+            return self._any((rho[i:] for i in range(1, len(rho) - 1)), sub, want)
+        if len(rho) >= self.bound:
+            return not want
+        return self._any(self._extend(rho, mod is Modality.BBAR), sub, want)
+
+    def _any(self, tracks, sub, want):
+        for t in tracks:
+            if self.eval(t, sub) == want:
+                return want
+        return not want
+
+    def _extend(self, t, forward):
+        for w in self.K.successors(t[-1]) if forward else self.K.predecessors(t[0]):
+            u = t + (w,) if forward else (w,) + t
+            yield u
+            if len(u) < self.bound:
+                yield from self._extend(u, forward)
+
+
+def _formula_keyed_check(K, phi, bound):
+    ev = _FormulaKeyedEvaluator(K, bound)
+    for rho in enumerate_tracks(K, bound, start=K.init):
+        if not ev.eval(rho, phi):
+            return False, rho
+    return True, None
+
+
+def test_compiled_evaluator_matches_formula_keyed_evaluator():
+    rng = rng_for("compiled-vs-formula-keyed")
+    for _ in range(200):
+        K = random_kripke(rng, max_states=4, letters=("p", "q"))
+        bound = rng.randint(2, 6)
+        phi = random_hs_formula(rng, ("p", "q"), modal_budget=3)
+        verdict = model_check_bounded(K, phi, bound)
+        assert (verdict.value, verdict.failing_track) == _formula_keyed_check(K, phi, bound)
+        # Three formulas sharing subformulas, a diamond and its box twin
+        # among them, on one evaluator each side.
+        a = random_hs_formula(rng, ("p", "q"), modal_budget=2)
+        b = random_hs_formula(rng, ("p", "q"), modal_budget=1)
+        mod = rng.choice(HS_MODS)
+        shared = (a, Implies(b, Diamond(mod, a)), Or(Box(mod, a), Not(b)))
+        ev, old = BoundedEvaluator(K, bound), _FormulaKeyedEvaluator(K, bound)
+        for rho in enumerate_tracks(K, bound):
+            for f in shared:
+                assert ev.eval(rho, f) == old.eval(rho, f)
 
 
 def test_automaton_rejects_unsupported_nodes(kequiv):
