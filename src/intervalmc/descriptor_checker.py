@@ -15,11 +15,15 @@ element's states, kept as a bitmask over the letters.
 
 States are numbered once per engine, and the interior of each forward
 descriptor element is kept as a bitmask over them. The forward elements of
-a state are indexed by their last state, so the `[B]`/`[E]` case finds the
-two parts of a split of d by testing masks against d's interior over the
-few candidates that end at the right state; `concat_desc` confirms each
-match. One routine serves both modalities, and it checks the part that
-carries the recursion at most once per element.
+a state are indexed by their last state. The `[B]`/`[E]` case finds the
+two parts of a split of d among the elements that end at d's last state,
+filtered once per split to those whose interior lies inside d's, so a
+match is one mask test. One routine serves both modalities, and it decides
+each part once per element: for `<B>` the prefix is settled by its first
+match, for `<E>` a failed suffix leaves its candidate list. `concat_desc`
+confirms the split before each check. The truth of `<A>`/`<~A>` depends
+only on d's last/first state, so it is memoized per (node, endpoint); the
+witness is still a track of d.
 """
 
 from __future__ import annotations
@@ -81,6 +85,8 @@ class _ExistsEngine:
         self._masked: dict = {}
         self._by_last: dict = {}
         self._memo: dict = {}
+        # (node, endpoint state) -> truth of an <A>/<~A> node.
+        self._adjacent: dict = {}
         self._leaf_values: dict = {}
         self._witness_cache: dict = {}
         self.stats = {"check_calls": 0, "memo_hits": 0, "descriptors_explored": 0, "adjacent_witnesses": 0}
@@ -111,7 +117,7 @@ class _ExistsEngine:
         return out
 
     def _mask(self, d) -> int:
-        return sum(self._bit[s] for s in d.interior)
+        return sum(map(self._bit.__getitem__, d.interior))
 
     def masked(self, v):
         """`witnessed(v)` as (interior mask, element) pairs, in its order."""
@@ -162,14 +168,17 @@ class _ExistsEngine:
                 return ok, wit
             return self.check(b, d)
         if kind is Modality.A or kind is Modality.ABAR:
-            adjacent = (
-                self.witnessed(d.v_fin) if kind is Modality.A else self.witnessed(d.v_in, "backward")
-            )
-            for adj in adjacent:
-                ok, _ = self.check(a, adj)
-                if ok:
-                    self.stats["adjacent_witnesses"] += 1
-                    return True, self.realize(d)
+            end = d.v_fin if kind is Modality.A else d.v_in
+            key = (node, end)
+            ok = self._adjacent.get(key) if self.use_memo else None
+            if ok is None:
+                adjacent = self.witnessed(end, "forward" if kind is Modality.A else "backward")
+                ok = any(self.check(a, adj)[0] for adj in adjacent)
+                if self.use_memo:
+                    self._adjacent[key] = ok
+            if ok:
+                self.stats["adjacent_witnesses"] += 1
+                return True, self.realize(d)
             return False, None
         return self._split(a, d, kind is Modality.B)
 
@@ -188,46 +197,58 @@ class _ExistsEngine:
         """`<B> sub` (prefix) or `<E> sub` (suffix) at d. The kept part of a
         track of d either loses one state, the last (first), or d splits
         into witnessed x = (d.v_in, _, u) and y = (v, _, d.v_fin) with
-        u -> v, whose join is d; the kept part is x (y)."""
+        u -> v, whose join is d; the kept part is x (y). Parts are checked
+        in the canonical split order, each at most once."""
         a, b = d.v_in, d.v_fin
         bit, succ = self._bit, self.K.successors
         target = self._mask(d)
         failed = set()
 
-        def attempt(part):
-            ok, wit = self.check(sub, part)
-            if not ok:
-                failed.add(part)
-            return wit
-
         # The dropped state u is the joint: prefix (a, _, u) with u -> b, or
-        # suffix (u, _, b) with a -> u.
+        # suffix (u, _, b) with a -> u. Each part occurs once here.
         for u in self.K.predecessors(b) if prefix else succ(a):
             for m, part in self.ending(a, u) if prefix else self.ending(u, b):
-                if m | bit[u] == target and part not in failed:
-                    wit = attempt(part)
-                    if wit is not None:
+                if m | bit[u] == target:
+                    ok, wit = self.check(sub, part)
+                    if ok:
                         return True, wit + (b,) if prefix else (a,) + wit
+                    failed.add(part)
 
+        # v -> the suffixes y ending at b with interior inside d's; for <E>,
+        # those not failed yet.
+        candidates = {}
         for mx, x in self.masked(a):
             if mx & ~target:
                 continue
             base = mx | bit[x.v_fin]
+            decided = prefix and x in failed
             for v in succ(x.v_fin):
-                # Computed before the mask test: descriptors_explored counts
-                # every state the scan reaches, whether or not a y matches.
-                ys = self.ending(v, b)
+                ys = candidates.get(v)
+                if ys is None:
+                    # Built before any early exit: descriptors_explored
+                    # counts every state the scan reaches.
+                    ys = candidates[v] = [
+                        (my, y) for my, y in self.ending(v, b)
+                        if not my & ~target and (prefix or y not in failed)
+                    ]
                 joint = base | bit[v]
-                if joint & ~target:
+                if decided or joint & ~target:
                     continue
+                need = target & ~joint
+                dropped = False
                 for my, y in ys:
-                    if joint | my != target:
+                    if my & need != need or concat_desc(x, y) != d:
                         continue
-                    part = x if prefix else y
-                    if part not in failed and concat_desc(x, y) == d:
-                        wit = attempt(part)
-                        if wit is not None:
-                            return True, wit + self.realize(y) if prefix else self.realize(x) + wit
+                    ok, wit = self.check(sub, x if prefix else y)
+                    if ok:
+                        return True, wit + self.realize(y) if prefix else self.realize(x) + wit
+                    if prefix:
+                        decided = True
+                        break
+                    failed.add(y)
+                    dropped = True
+                if dropped:
+                    candidates[v] = [pair for pair in ys if pair[1] not in failed]
         return False, None
 
 

@@ -8,8 +8,9 @@ from intervalmc import (
     is_track,
     witnessed_descriptors,
 )
+from intervalmc import descriptor_checker
 from intervalmc.class_checker import check_ab
-from intervalmc.descriptor_checker import check_exists, model_check_univ
+from intervalmc.descriptor_checker import _ExistsEngine, check_exists, model_check_univ
 from intervalmc.errors import NotInFragment, NotWitnessed
 from intervalmc.logic import (
     And,
@@ -338,3 +339,147 @@ def test_split_agrees_with_brute_force_scan():
                     for use_memo in (True, False):
                         assert check_exists(K, phi, d, use_memo=use_memo) == (ok, wit)
     assert by_split >= 40
+
+
+# ---------------------------------------------------------------------------
+# Split scan and <A>/<~A> case against the plain scan they replaced
+
+
+class _PlainScanEngine(_ExistsEngine):
+    """The engine with the `[B]`/`[E]` scan that tests every mask match
+    against a set of failed parts, and the `<A>`/`<~A>` case that checks
+    the adjacent elements again for every element."""
+
+    def _check(self, node, d):
+        kind, a, _ = self._nodes[node]
+        if kind is Modality.A or kind is Modality.ABAR:
+            adjacent = (
+                self.witnessed(d.v_fin) if kind is Modality.A else self.witnessed(d.v_in, "backward")
+            )
+            for adj in adjacent:
+                ok, _ = self.check(a, adj)
+                if ok:
+                    self.stats["adjacent_witnesses"] += 1
+                    return True, self.realize(d)
+            return False, None
+        return super()._check(node, d)
+
+    def _split(self, sub, d, prefix):
+        a, b = d.v_in, d.v_fin
+        bit, succ = self._bit, self.K.successors
+        target = self._mask(d)
+        failed = set()
+
+        def attempt(part):
+            ok, wit = self.check(sub, part)
+            if not ok:
+                failed.add(part)
+            return wit
+
+        for u in self.K.predecessors(b) if prefix else succ(a):
+            for m, part in self.ending(a, u) if prefix else self.ending(u, b):
+                if m | bit[u] == target and part not in failed:
+                    wit = attempt(part)
+                    if wit is not None:
+                        return True, wit + (b,) if prefix else (a,) + wit
+
+        for mx, x in self.masked(a):
+            if mx & ~target:
+                continue
+            base = mx | bit[x.v_fin]
+            for v in succ(x.v_fin):
+                ys = self.ending(v, b)
+                joint = base | bit[v]
+                if joint & ~target:
+                    continue
+                for my, y in ys:
+                    if joint | my != target:
+                        continue
+                    part = x if prefix else y
+                    if part not in failed and concat_desc(x, y) == d:
+                        wit = attempt(part)
+                        if wit is not None:
+                            return True, wit + self.realize(y) if prefix else self.realize(x) + wit
+        return False, None
+
+
+def test_split_scan_matches_parent_reference(monkeypatch):
+    # Result, counterexample and every counter but memo_hits must match the
+    # plain scan: the candidate lists and the endpoint memo may only skip
+    # checks that the plain scan answers from its failed set or its memo.
+    rng = rng_for("split-plain")
+    cases = []
+    for _ in range(240):
+        K = random_kripke(rng, min_states=2, max_states=6)
+        psi = desugar(random_forall_formula(rng, ("p", "q"), modal_budget=4))
+        # Without the memo the search grows exponentially with the states.
+        cases.append((K, psi, len(K.states) <= 3))
+
+    def run():
+        out = []
+        for K, psi, small in cases:
+            for use_memo in (True, False) if small else (True,):
+                out.append(model_check_univ(K, psi, use_memo=use_memo))
+        return out
+
+    got = run()
+    monkeypatch.setattr(descriptor_checker, "_ExistsEngine", _PlainScanEngine)
+    want = run()
+    fails = 0
+    for new, old in zip(got, want):
+        fails += old.result == "fails"
+        assert (new.result, new.counterexample) == (old.result, old.counterexample)
+        assert new.stats["memo_hits"] <= old.stats["memo_hits"]
+        for key in ("check_calls", "descriptors_explored", "adjacent_witnesses"):
+            assert new.stats[key] == old.stats[key]
+    assert 0 < fails < len(got)
+
+
+def _random_adjacent_formula(rng, depth=3):
+    # Universal formulas whose boxes are mostly [A]/[~A], nested, so that
+    # inner <A>/<~A> nodes of the dual meet the same endpoint many times.
+    r = rng.random()
+    if depth == 0 or r < 0.2:
+        return random_beta(rng, ("p", "q"), 1)
+    if r < 0.4:
+        return And(_random_adjacent_formula(rng, depth - 1), _random_adjacent_formula(rng, depth - 1))
+    mod = rng.choice((Modality.A, Modality.ABAR, Modality.A, Modality.ABAR, Modality.B, Modality.E))
+    return Box(mod, _random_adjacent_formula(rng, depth - 1))
+
+
+def _run_engine(K, psi, use_memo):
+    engine = _ExistsEngine(K, negate_to_exists(psi), use_memo=use_memo)
+    for d in engine.witnessed(K.init):
+        ok, wit = engine.check(engine.root, d)
+        if ok:
+            return engine, ("fails", wit)
+    return engine, ("holds", None)
+
+
+def test_adjacent_endpoint_memo_is_bypassed_without_memo():
+    rng = rng_for("adjacent-memo")
+    hits = 0
+    for _ in range(60):
+        K = random_kripke(rng, min_states=2, max_states=4)
+        psi = desugar(_random_adjacent_formula(rng))
+        with_memo, outcome = _run_engine(K, psi, use_memo=True)
+        without, plain = _run_engine(K, psi, use_memo=False)
+        assert outcome == plain
+        verdict = model_check_univ(K, psi)
+        assert outcome == (verdict.result, verdict.counterexample)
+        assert without._adjacent == {}
+        # Each (node, element) check of an <A>/<~A> node beyond the first per
+        # (node, endpoint) was answered by the endpoint memo.
+        adjacent_checks = sum(
+            1 for node, _ in with_memo._memo
+            if with_memo._nodes[node][0] in (Modality.A, Modality.ABAR)
+        )
+        hits += adjacent_checks - len(with_memo._adjacent)
+    assert hits > 100
+
+
+def test_scheduler_adjacent_memo_hits_pinned(scheduler):
+    # With the endpoint memo, [~A][E] no longer asks the node memo again for
+    # every adjacent element of every element sharing a first state.
+    verdict = model_check_univ(scheduler, desugar(parse_formula("[~A][E](r0 -> !e1)")))
+    assert verdict.stats["memo_hits"] == 12562
