@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 holds, 1 fails, 2 input error, 3 formula outside the
-selected engine's fragment, 4 approximate verdict (bounded oracle on a
-formula it cannot decide exactly).
+Exit codes: 0 holds, 1 fails, 2 input error (for every subcommand: an
+unreadable or malformed input, or an output that cannot be written), 3
+formula outside the selected engine's fragment, 4 approximate verdict
+(bounded oracle on a formula it cannot decide exactly).
 """
 
 from __future__ import annotations
@@ -49,12 +50,8 @@ def _emit(report, as_json):
 
 
 def cmd_check(args) -> int:
-    try:
-        K = _load_model(args.model)
-        phi = _load_formula(args)
-    except (IntervalMCError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    K = _load_model(args.model)
+    phi = _load_formula(args)
     desugared = logic.desugar(phi)
     frag = logic.classify(desugared)
 
@@ -135,29 +132,14 @@ def _looks_like_sat_instance(K) -> bool:
     return set(K.states) == expected
 
 
-def cmd_gen_sat(args) -> int:
-    try:
-        with open(args.dimacs, "r", encoding="utf-8") as handle:
-            cnf = reductions.parse_dimacs(handle.read())
-    except (IntervalMCError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    K, gamma = reductions.build_sat_instance(cnf)
-    _write_instance(args.out_model, args.out_formula, K, gamma)
-    print(f"|W|={len(K.states)} |delta|={len(K.edges)} |pl|={len(logic.prop_letters(gamma))}")
-    return EXIT_HOLDS
-
-
-def cmd_gen_qbf(args) -> int:
-    try:
-        with open(args.qdimacs, "r", encoding="utf-8") as handle:
-            qbf = reductions.parse_qdimacs(handle.read())
-    except (IntervalMCError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    K, xi = reductions.build_qbf_instance(qbf)
-    _write_instance(args.out_model, args.out_formula, K, xi)
-    print(f"|W|={len(K.states)} |delta|={len(K.edges)} |pl|={len(logic.prop_letters(xi))}")
+def cmd_generate(args) -> int:
+    # The parser and builder are named, not bound, so that they are looked
+    # up in `reductions` when the command runs.
+    with open(args.source, "r", encoding="utf-8") as handle:
+        instance = getattr(reductions, args.parse)(handle.read())
+    K, phi = getattr(reductions, args.build)(instance)
+    _write_instance(args.out_model, args.out_formula, K, phi)
+    print(f"|W|={len(K.states)} |delta|={len(K.edges)} |pl|={len(logic.prop_letters(phi))}")
     return EXIT_HOLDS
 
 
@@ -169,12 +151,7 @@ def _write_instance(model_path, formula_path, K, phi):
 
 
 def cmd_classify(args) -> int:
-    try:
-        phi = logic.parse_formula(args.formula)
-    except IntervalMCError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    frag = logic.classify(logic.desugar(phi))
+    frag = logic.classify(logic.desugar(logic.parse_formula(args.formula)))
     names = frag.names()
     if args.json:
         print(
@@ -192,14 +169,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_descriptors(args) -> int:
-    try:
-        K = _load_model(args.model)
-        direction = {"fwd": "forward", "bwd": "backward"}[args.dir]
-        found = model.witnessed_descriptors(K, args.state, direction)
-    except (IntervalMCError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    for d in found:
+    K = _load_model(args.model)
+    direction = {"fwd": "forward", "bwd": "backward"}[args.dir]
+    for d in model.witnessed_descriptors(K, args.state, direction):
         witness = model.shortest_witness(K, d)
         print(f"{d!r} witness_len={len(witness)}")
     return EXIT_HOLDS
@@ -224,17 +196,16 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--json", action="store_true")
     check.set_defaults(func=cmd_check)
 
-    gen_sat = sub.add_parser("gen-sat", help="build a checking instance from a DIMACS file")
-    gen_sat.add_argument("--dimacs", required=True)
-    gen_sat.add_argument("--out-model", required=True)
-    gen_sat.add_argument("--out-formula", required=True)
-    gen_sat.set_defaults(func=cmd_gen_sat)
-
-    gen_qbf = sub.add_parser("gen-qbf", help="build a checking instance from a QDIMACS file")
-    gen_qbf.add_argument("--qdimacs", required=True)
-    gen_qbf.add_argument("--out-model", required=True)
-    gen_qbf.add_argument("--out-formula", required=True)
-    gen_qbf.set_defaults(func=cmd_gen_qbf)
+    generators = (
+        ("gen-sat", "DIMACS", "parse_dimacs", "build_sat_instance"),
+        ("gen-qbf", "QDIMACS", "parse_qdimacs", "build_qbf_instance"),
+    )
+    for name, kind, parse, build in generators:
+        gen = sub.add_parser(name, help=f"build a checking instance from a {kind} file")
+        gen.add_argument(f"--{kind.lower()}", dest="source", metavar=kind, required=True)
+        gen.add_argument("--out-model", required=True)
+        gen.add_argument("--out-formula", required=True)
+        gen.set_defaults(func=cmd_generate, parse=parse, build=build)
 
     classify_p = sub.add_parser("classify", help="print fragment membership of a formula")
     classify_p.add_argument("--formula", required=True)
@@ -252,7 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (IntervalMCError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 def entry():

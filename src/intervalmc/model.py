@@ -128,13 +128,6 @@ def is_track(K: KripkeStructure, seq: Iterable[str]) -> bool:
     return all((a, b) in K.edges for a, b in zip(t, t[1:]))
 
 
-def require_track(K: KripkeStructure, seq: Iterable[str]) -> Track:
-    t = tuple(seq)
-    if not is_track(K, t):
-        raise ValueError(f"not a valid track of the structure: {t!r}")
-    return t
-
-
 def track_label(K: KripkeStructure, rho: Iterable[str]) -> frozenset:
     """Intersection of the labels of all states occurring on the track."""
     rho = tuple(rho)
@@ -231,14 +224,6 @@ def shortest_witness(K: KripkeStructure, d: DescriptorElement) -> Track:
                 nxt.append(child)
         frontier = nxt
     raise NotWitnessed(f"no track of the structure realizes {d!r}")
-
-
-def is_witnessed(K: KripkeStructure, d: DescriptorElement) -> bool:
-    try:
-        shortest_witness(K, d)
-    except NotWitnessed:
-        return False
-    return True
 
 
 def enumerate_tracks(

@@ -28,6 +28,7 @@ from .logic import (
     Or,
     Prop,
     TRUE,
+    eval_prop,
     is_propositional,
     prop_letters,
 )
@@ -199,8 +200,6 @@ def brute_sat(beta) -> bool:
     letters = sorted(prop_letters(beta))
     if len(letters) > _BRUTE_LIMIT:
         raise TooManyVariables(f"{len(letters)} letters exceed the brute-force limit")
-    from .logic import eval_prop
-
     for bits in itertools.product((False, True), repeat=len(letters)):
         true_set = {p for p, b in zip(letters, bits) if b}
         if eval_prop(beta, true_set):

@@ -11,6 +11,13 @@ This computes exactly the bounded semantics of `oracle.eval_bounded` on
 its fragment, but existence queries run as a product-graph search instead
 of track enumeration, which keeps bounds in the hundreds tractable. The
 test suite cross-validates the two implementations at small bounds.
+
+Every existence query is one breadth-first search, `_steps`, which
+expands each product node on its first visit only. `_exists_from`,
+`_ending_states` and `find_satisfying_track` check acceptance on first
+visits, which finds shortest tracks. The right-extension search checks
+every step: a loop may reach a node again at a length where the child
+accepts although its first visit did not.
 """
 
 from __future__ import annotations
@@ -201,8 +208,7 @@ class _RightExtAuto:
         self.K = K
         self.sub = sub
         self.bound = bound
-        self._memo: dict = {}
-        self._dist: dict = {}
+        self._first: dict = {}
 
     def start(self, v):
         return self.sub.start(v)
@@ -216,66 +222,16 @@ class _RightExtAuto:
     def accepts(self, node, t):
         if t < 2 or self.bound - t < 1:
             return False
-        if self.sub.time_sensitive:
-            # Child acceptance shifts with the position, so the search is
-            # memoized per (node, position).
-            key = (node, t)
-            hit = self._memo.get(key)
-            if hit is None:
-                hit = self._search(node, t)
-                self._memo[key] = hit
-            return hit
-        # Otherwise the minimal extension length is position-independent
-        # and only the remaining budget varies per query.
-        if node not in self._dist:
-            self._dist[node] = self._min_extension(node)
-        dist = self._dist[node]
-        return dist is not None and dist <= self.bound - t
-
-    def _search(self, node, t):
-        # Acceptance is checked before the dedup: a loop may revisit a node
-        # (the start node in particular) at an extension length where it
-        # accepts even though its first arrival did not qualify.
-        seen = {node}
-        frontier = [node]
-        for k in range(1, self.bound - t + 1):
-            nxt = []
-            for n in frontier:
-                for w in self.K.successors(self.sub.cur(n)):
-                    for m in self.sub.step(n, w, t + k):
-                        if self.sub.accepts(m, t + k):
-                            return True
-                        if m in seen:
-                            continue
-                        seen.add(m)
-                        nxt.append(m)
-            if not nxt:
-                return False
-            frontier = nxt
-        return False
-
-    def _min_extension(self, node):
-        """Minimum number of appended states reaching child acceptance, or
-        None; valid only for time-insensitive children. Extensions longer
-        than bound-2 can never fit any budget.
-        """
-        seen = {node}
-        frontier = [node]
-        for k in range(1, self.bound - 1):
-            nxt = []
-            for n in frontier:
-                for w in self.K.successors(self.sub.cur(n)):
-                    for m in self.sub.step(n, w, 3):
-                        if self.sub.accepts(m, 3):
-                            return k
-                        if m in seen:
-                            continue
-                        seen.add(m)
-                        nxt.append(m)
-            if not nxt:
-                return None
-            frontier = nxt
-        return None
+        # Without a time-sensitive child the minimal extension length does
+        # not depend on the position: one search from position 2 serves
+        # every t, and only the remaining budget varies.
+        origin = t if self.sub.time_sensitive else 2
+        key = (node, origin)
+        if key not in self._first:
+            steps = _steps(self.K, self.sub, (node,), origin, self.bound)
+            self._first[key] = next((t2 for _, _, m, t2, _ in steps if self.sub.accepts(m, t2)), None)
+        first = self._first[key]
+        return first is not None and first - origin <= self.bound - t
 
 
 def compile_positive(K: KripkeStructure, phi, bound: int):
@@ -320,50 +276,68 @@ def accepts_track(auto, rho: Track, bound: int) -> bool:
     return any(auto.accepts(n, t) for n in frontier)
 
 
-def _exists_from(K, auto, v, bound) -> bool:
-    seen = set(auto.start(v))
-    frontier = list(seen)
-    t = 1
+class _InteriorAuto:
+    """Runs of the child paired with the interior read so far; only runs
+    whose interior equals the target accept."""
+
+    def __init__(self, sub, target):
+        self.sub = sub
+        self.target = target
+
+    def start(self, v):
+        return tuple((n, frozenset()) for n in self.sub.start(v))
+
+    def step(self, node, v, t):
+        n, iset = node
+        # Stepping to position t puts the state at t-1 into the interior,
+        # except from the first position.
+        grown = iset if t == 2 else iset | {self.sub.cur(n)}
+        if not grown <= self.target:
+            return ()
+        return tuple((m, grown) for m in self.sub.step(n, v, t))
+
+    def accepts(self, node, t):
+        return node[1] == self.target and self.sub.accepts(node[0], t)
+
+    def cur(self, node):
+        return self.sub.cur(node[0])
+
+
+def _steps(K, auto, frontier, t, bound):
+    """Breadth-first search of the product of `K` and `auto` from the
+    nodes in `frontier`, which sit at position `t`. Yields (n, w, m, t2,
+    fresh) for every step from node n over state w to node m at position
+    t2 <= bound; `fresh` marks m's first visit, and only fresh nodes are
+    expanded."""
+    frontier = list(dict.fromkeys(frontier))
+    seen = set(frontier)
     while frontier and t < bound:
         t += 1
         nxt = []
         for n in frontier:
             for w in K.successors(auto.cur(n)):
                 for m in auto.step(n, w, t):
-                    if m in seen:
-                        continue
-                    seen.add(m)
-                    if auto.accepts(m, t):
-                        return True
-                    nxt.append(m)
+                    fresh = m not in seen
+                    if fresh:
+                        seen.add(m)
+                        nxt.append(m)
+                    yield n, w, m, t, fresh
         frontier = nxt
-    return False
+
+
+def _exists_from(K, auto, v, bound) -> bool:
+    return any(
+        fresh and auto.accepts(m, t) for _, _, m, t, fresh in _steps(K, auto, auto.start(v), 1, bound)
+    )
 
 
 def _ending_states(K, auto, bound) -> frozenset:
-    out = set()
-    seen = set()
-    frontier = []
-    for v in sorted(K.states):
-        for n in auto.start(v):
-            if n not in seen:
-                seen.add(n)
-                frontier.append(n)
-    t = 1
-    while frontier and t < bound:
-        t += 1
-        nxt = []
-        for n in frontier:
-            for w in K.successors(auto.cur(n)):
-                for m in auto.step(n, w, t):
-                    if m in seen:
-                        continue
-                    seen.add(m)
-                    if auto.accepts(m, t):
-                        out.add(auto.cur(m))
-                    nxt.append(m)
-        frontier = nxt
-    return frozenset(out)
+    starts = (n for v in sorted(K.states) for n in auto.start(v))
+    return frozenset(
+        auto.cur(m)
+        for _, _, m, t, fresh in _steps(K, auto, starts, 1, bound)
+        if fresh and auto.accepts(m, t)
+    )
 
 
 def find_satisfying_track(
@@ -380,50 +354,22 @@ def find_satisfying_track(
     such track exists.
     """
     auto = compile_positive(K, phi, bound)
-    track_interior = interior is not None
-    target = frozenset(interior) if track_interior else None
-    empty = frozenset() if track_interior else None
+    if interior is not None:
+        auto = _InteriorAuto(auto, frozenset(interior))
     starts = (first,) if first is not None else tuple(sorted(K.states))
 
     parents: dict = {}
-    frontier = []
     for v in starts:
         for n in auto.start(v):
-            key = (n, empty)
-            if key not in parents:
-                parents[key] = (None, v)
-                frontier.append(key)
-    t = 1
-    while frontier and t < bound:
-        t += 1
-        nxt = []
-        for key in frontier:
-            n, iset = key
-            u = auto.cur(n)
-            if track_interior:
-                grown = iset if t == 2 else iset | {u}
-                if not grown <= target:
-                    continue
-            else:
-                grown = None
-            for w in K.successors(u):
-                for m in auto.step(n, w, t):
-                    child = (m, grown)
-                    if child in parents:
-                        continue
-                    parents[child] = (key, w)
-                    if (
-                        (last is None or auto.cur(m) == last)
-                        and (not track_interior or grown == target)
-                        and auto.accepts(m, t)
-                    ):
-                        states = [w]
-                        back = key
-                        while back is not None:
-                            prev, sym = parents[back]
-                            states.append(sym)
-                            back = prev
-                        return tuple(reversed(states))
-                    nxt.append(child)
-        frontier = nxt
+            parents.setdefault(n, (None, v))
+    for n, w, m, t, fresh in _steps(K, auto, list(parents), 1, bound):
+        if not fresh:
+            continue
+        parents[m] = (n, w)
+        if (last is None or auto.cur(m) == last) and auto.accepts(m, t):
+            states = [w]
+            while n is not None:
+                n, v = parents[n]
+                states.append(v)
+            return tuple(reversed(states))
     return None

@@ -297,6 +297,28 @@ def test_gen_sat_malformed_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_generators_unwritable_output_exit_two(tmp_path, capsys):
+    sources = {
+        "gen-sat": ("--dimacs", "p cnf 1 1\n1 0\n"),
+        "gen-qbf": ("--qdimacs", "p cnf 1 1\ne 1 0\n1 0\n"),
+    }
+    for command, (flag, text) in sources.items():
+        source = tmp_path / f"{command}.in"
+        source.write_text(text)
+        code, _, err = run(
+            capsys,
+            command,
+            flag,
+            str(source),
+            "--out-model",
+            str(tmp_path / "missing" / "m.kripke"),
+            "--out-formula",
+            str(tmp_path / "f.formula"),
+        )
+        assert code == 2, command
+        assert err.startswith("error:"), command
+
+
 # ---------------------------------------------------------------------------
 # classify / descriptors
 
