@@ -7,7 +7,8 @@ that hold on it and its last state, so each equivalence class can be
 evaluated once. Classes are generated from the length-2 seed tracks and
 closed under single-state extension. A class is a dense int id, keyed by
 letter bitmask * |W| + last state number; one predecessor list serves
-every `<~B>`, and truth sets are int bitsets over ids.
+every `<~B>`. Each node of the formula's `logic.FormulaTable` has an int
+bitset over ids as its truth set.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import NotInFragment
-from .logic import And, Box, Const, Diamond, Implies, Modality, Not, Or, Prop
-from .logic import classify, prop_letters, subformulas
+from .logic import And, Const, FormulaTable, Implies, Modality, Not, Or, Prop, classify, prop_letters
 from .descriptor_checker import Verdict
 from .model import KripkeStructure, Track, track_label
 
@@ -57,8 +57,9 @@ class ClassEngine:
         if not classify(psi).ab_bar:
             raise NotInFragment("class engine expects a formula over <A> and <~B> only")
         self.K = K
-        self.psi = psi
-        self.pl = prop_letters(psi)
+        self._table = FormulaTable()
+        self._root = self._table.add(psi)
+        self.pl = frozenset(a for kind, a, _ in self._table.nodes if kind is Prop)
         self._letters = sorted(self.pl)
         self._index = {s: i for i, s in enumerate(K.states)}
         self._build_classes()
@@ -139,41 +140,38 @@ class ClassEngine:
 
     def truth(self, phi, c: TrackClass) -> bool:
         """Truth of a subformula on every track of the class."""
-        sat = self._truth[phi]
+        sat = self._truth[self._table.find(phi)]
         cid = self._id_of.get(c)
         return cid is not None and bool(sat >> cid & 1)
 
-    def _evaluate(self) -> dict:
-        truth, full = {}, (1 << len(self._keys)) - 1
-        for phi in subformulas(self.psi):
-            if phi in truth:
-                continue
-            if isinstance(phi, Prop):
-                sat = self._prop[phi.name]
-            elif isinstance(phi, Const):
-                sat = full if phi.value else 0
-            elif isinstance(phi, Not):
-                sat = full ^ truth[phi.sub]
-            elif isinstance(phi, And):
-                sat = truth[phi.left] & truth[phi.right]
-            elif isinstance(phi, Or):
-                sat = truth[phi.left] | truth[phi.right]
-            elif isinstance(phi, Implies):
-                sat = (full ^ truth[phi.left]) | truth[phi.right]
-            elif isinstance(phi, (Diamond, Box)) and phi.mod in (Modality.A, Modality.BBAR):
+    def _evaluate(self) -> list:
+        truth, full = [], (1 << len(self._keys)) - 1
+        for kind, a, b in self._table.nodes:
+            if kind is Prop:
+                sat = self._prop[a]
+            elif kind is Const:
+                sat = full if a else 0
+            elif kind is Not:
+                sat = full ^ truth[a]
+            elif kind is And:
+                sat = truth[a] & truth[b]
+            elif kind is Or:
+                sat = truth[a] | truth[b]
+            elif kind is Implies:
+                sat = (full ^ truth[a]) | truth[b]
+            elif kind is Modality.A or kind is Modality.BBAR:
                 # A box is the complement of the diamond of the complement.
-                box = isinstance(phi, Box)
-                sub = full ^ truth[phi.sub] if box else truth[phi.sub]
-                if phi.mod is Modality.A:
+                sub = truth[a] if b else full ^ truth[a]
+                if kind is Modality.A:
                     # Classes with distinct last states are distinct, so this sum is a union.
                     sat = sum(lasts for reach, lasts in zip(self._from, self._by_last) if reach & sub)
                 else:
                     sat = self._reach(_members(sub), self._pred)
-                if box:
+                if not b:
                     sat ^= full
             else:
-                raise NotInFragment(f"node outside the fragment: {phi!r}")
-            truth[phi] = sat
+                raise NotInFragment(f"{kind} node outside the fragment")
+            truth.append(sat)
         return truth
 
     def find_initial_track(self, violating: int) -> Track:
@@ -205,7 +203,7 @@ def check_ab(K: KripkeStructure, psi) -> Verdict:
     initial counterexample track.
     """
     engine = ClassEngine(K, psi)
-    violating = engine._from[engine._index[K.init]] & ~engine._truth[psi]
+    violating = engine._from[engine._index[K.init]] & ~engine._truth[engine._root]
     stats = {"classes_realized": len(engine._keys)}
     if not violating:
         return Verdict("holds", None, "class", stats)

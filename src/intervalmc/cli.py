@@ -22,6 +22,9 @@ EXIT_INPUT_ERROR = 2
 EXIT_FRAGMENT = 3
 EXIT_APPROXIMATE = 4
 
+# The fragment of each exact engine, in `auto`'s order; the rest go to the oracle.
+EXACT_ENGINES = {"descriptor": "ForallAABE", "class": "ABbar"}
+
 
 def _load_model(path):
     with open(path, "r", encoding="utf-8") as handle:
@@ -55,19 +58,11 @@ def cmd_check(args) -> int:
     desugared = logic.desugar(phi)
     frag = logic.classify(desugared)
 
-    engine = args.engine
+    engine, names = args.engine, frag.names()
     if engine == "auto":
-        if frag.forall_aabe:
-            engine = "descriptor"
-        elif frag.ab_bar:
-            engine = "class"
-        else:
-            engine = "oracle"
-    if engine == "descriptor" and not frag.forall_aabe:
-        print("error: formula is not in the ForallAABE fragment", file=sys.stderr)
-        return EXIT_FRAGMENT
-    if engine == "class" and not frag.ab_bar:
-        print("error: formula is not in the ABbar fragment", file=sys.stderr)
+        engine = next((e for e, name in EXACT_ENGINES.items() if name in names), "oracle")
+    elif engine in EXACT_ENGINES and EXACT_ENGINES[engine] not in names:
+        print(f"error: formula is not in the {EXACT_ENGINES[engine]} fragment", file=sys.stderr)
         return EXIT_FRAGMENT
 
     started = time.monotonic()

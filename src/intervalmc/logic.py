@@ -1,5 +1,6 @@
-"""Formula AST, parser, desugaring, fragment classification, and
-propositional evaluation over descriptor elements.
+"""Formula AST and its hash-consed node table (`FormulaTable`), parser,
+desugaring, fragment classification, dualization, and propositional
+evaluation over descriptor elements.
 
 Surface syntax (ASCII): letters `[a-zA-Z_][a-zA-Z0-9_]*`, constants
 `true`/`false`, connectives `!`, `&`, `|`, `->` (right-associative), and
@@ -130,16 +131,65 @@ def modal_count(phi: Formula) -> int:
     return sum(1 for f in subformulas(phi) if isinstance(f, _MODAL))
 
 
-def modalities_used(phi: Formula) -> frozenset:
-    return frozenset(f.mod for f in subformulas(phi) if isinstance(f, _MODAL))
-
-
 def prop_letters(phi: Formula) -> frozenset:
     return frozenset(f.name for f in subformulas(phi) if isinstance(f, Prop))
 
 
 def is_propositional(phi: Formula) -> bool:
     return not any(isinstance(f, _MODAL) for f in subformulas(phi))
+
+
+class FormulaTable:
+    """Hash-consed formulas: node `i` is `(kind, a, b)`, that is `(Prop,
+    name, None)`, `(Const, value, None)`, `(Not, sub, None)`, `(And|Or|Implies,
+    left, right)` or `(modality, sub, is_diamond)`, with child ids below `i`.
+    Keyed by these tuples, equal subformulas share one id and no formula is
+    hashed; built over `subformulas`, depth costs no recursion. `formulas[i]`
+    is a formula of node `i`; `prop[i]` says it has no modality and
+    `desugared[i]` no sugared one."""
+
+    def __init__(self):
+        self.nodes: list = []
+        self.formulas: list = []
+        self.prop: list = []
+        self.desugared: list = []
+        self._ids: dict = {}
+
+    def add(self, phi) -> int:
+        """Id of `phi`, adding it and its subformulas on first use."""
+        return self._walk(phi, True)
+
+    def find(self, phi) -> int:
+        """Id of `phi`; KeyError when the table does not hold it."""
+        return self._walk(phi, False)
+
+    def _walk(self, phi, add: bool) -> int:
+        ids, prop, desugared = [], self.prop, self.desugared
+        for f in subformulas(phi):
+            if isinstance(f, Prop):
+                node, p, d = (Prop, f.name, None), True, True
+            elif isinstance(f, Const):
+                node, p, d = (Const, f.value, None), True, True
+            elif isinstance(f, Not):
+                a = ids.pop()
+                node, p, d = (Not, a, None), prop[a], desugared[a]
+            elif isinstance(f, _BINARY):
+                b, a = ids.pop(), ids.pop()
+                node, p, d = (type(f), a, b), prop[a] and prop[b], desugared[a] and desugared[b]
+            elif isinstance(f, _MODAL):
+                a = ids.pop()
+                node, p, d = (f.mod, a, isinstance(f, Diamond)), False, f.mod.primitive and desugared[a]
+            else:
+                raise TypeError(f"not a formula node: {f!r}")
+            i = self._ids.get(node) if add else self._ids[node]
+            if i is None:
+                i = self._ids[node] = len(self.nodes)
+                self.nodes.append(node)
+                self.formulas.append(f)
+                prop.append(p)
+                desugared.append(d)
+            ids.append(i)
+        return ids.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +202,6 @@ _MOD_BY_TEXT = {m.text: m for m in Modality}
 class _Lexer:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.tokens: list[tuple[str, str, int]] = []
         self._scan()
         self.index = 0
@@ -248,12 +297,9 @@ def _parse_unary(lex) -> Formula:
     if kind == "!":
         lex.take()
         return Not(_parse_unary(lex))
-    if kind == "diamond":
+    if kind in ("diamond", "box"):
         lex.take()
-        return Diamond(_MOD_BY_TEXT[value], _parse_unary(lex))
-    if kind == "box":
-        lex.take()
-        return Box(_MOD_BY_TEXT[value], _parse_unary(lex))
+        return (Diamond if kind == "diamond" else Box)(_MOD_BY_TEXT[value], _parse_unary(lex))
     return _parse_atom(lex)
 
 
@@ -274,32 +320,28 @@ def _parse_atom(lex) -> Formula:
     raise ParseError(f"missing operand (found {value or kind!r})", column=pos + 1)
 
 
-def to_text(phi: Formula) -> str:
-    """Render an AST back to surface syntax (parses back to the same tree)."""
-    return _pp(phi)
-
-
 def _atomic(phi):
     return isinstance(phi, (Prop, Const))
 
 
-def _pp(phi) -> str:
+def to_text(phi: Formula) -> str:
+    """Render an AST back to surface syntax (parses back to the same tree)."""
     if isinstance(phi, Prop):
         return phi.name
     if isinstance(phi, Const):
         return "true" if phi.value else "false"
     if isinstance(phi, Not):
-        return "!" + (_pp(phi.sub) if _atomic(phi.sub) else f"({_pp(phi.sub)})")
+        return "!" + (to_text(phi.sub) if _atomic(phi.sub) else f"({to_text(phi.sub)})")
     if isinstance(phi, (Diamond, Box)):
         op = f"<{phi.mod.text}>" if isinstance(phi, Diamond) else f"[{phi.mod.text}]"
-        return f"{op} {_pp(phi.sub)}" if _atomic(phi.sub) else f"{op}({_pp(phi.sub)})"
+        return f"{op} {to_text(phi.sub)}" if _atomic(phi.sub) else f"{op}({to_text(phi.sub)})"
     if isinstance(phi, And):
         return f"{_pp_operand(phi.left, And)} & {_pp_operand(phi.right, None)}"
     if isinstance(phi, Or):
         return f"{_pp_operand(phi.left, Or)} | {_pp_operand(phi.right, None)}"
     if isinstance(phi, Implies):
-        lhs = f"({_pp(phi.left)})" if isinstance(phi.left, Implies) else _pp(phi.left)
-        return f"{lhs} -> {_pp(phi.right)}"
+        lhs = f"({to_text(phi.left)})" if isinstance(phi.left, Implies) else to_text(phi.left)
+        return f"{lhs} -> {to_text(phi.right)}"
     raise TypeError(f"not a formula node: {phi!r}")
 
 
@@ -307,8 +349,8 @@ def _pp_operand(phi, left_of) -> str:
     # Binary connectives parse left-associatively, so only a left operand
     # of the same connective may stay bare.
     if _atomic(phi) or isinstance(phi, Not) or (left_of is not None and isinstance(phi, left_of)):
-        return _pp(phi)
-    return f"({_pp(phi)})"
+        return to_text(phi)
+    return f"({to_text(phi)})"
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +375,8 @@ def desugar(phi: Formula) -> Formula:
         return phi
     if isinstance(phi, Not):
         return Not(desugar(phi.sub))
-    if isinstance(phi, And):
-        return And(desugar(phi.left), desugar(phi.right))
-    if isinstance(phi, Or):
-        return Or(desugar(phi.left), desugar(phi.right))
-    if isinstance(phi, Implies):
-        return Implies(desugar(phi.left), desugar(phi.right))
+    if isinstance(phi, _BINARY):
+        return type(phi)(desugar(phi.left), desugar(phi.right))
     sub = desugar(phi.sub)
     node = type(phi)
     if phi.mod.primitive:
@@ -362,16 +400,8 @@ class Fragment:
     modalities: frozenset
 
     def names(self):
-        out = []
-        if self.prop:
-            out.append("Prop")
-        if self.exists_aabe:
-            out.append("ExistsAABE")
-        if self.forall_aabe:
-            out.append("ForallAABE")
-        if self.ab_bar:
-            out.append("ABbar")
-        return tuple(out)
+        flags = {"Prop": self.prop, "ExistsAABE": self.exists_aabe, "ForallAABE": self.forall_aabe, "ABbar": self.ab_bar}
+        return tuple(name for name, on in flags.items() if on)
 
 
 _EXISTS_MODS = frozenset({Modality.A, Modality.B, Modality.E, Modality.ABAR})
@@ -379,57 +409,40 @@ _AB_MODS = frozenset({Modality.A, Modality.BBAR})
 
 
 def classify(phi: Formula) -> Fragment:
-    """Fragment membership of a desugared formula."""
-    mods = modalities_used(phi)
-    if not all(m.primitive for m in mods):
+    """Fragment membership of a desugared formula, from one pass over its
+    node table that marks the ExistsAABE and ForallAABE nodes."""
+    table = FormulaTable()
+    root = table.add(phi)
+    if not table.desugared[root]:
         raise ValueError("classify expects a desugared formula")
+    exists, forall = [], []
+    for prop, (kind, a, b) in zip(table.prop, table.nodes):
+        modal = kind in _EXISTS_MODS
+        exists.append(prop or (kind is Or and exists[a] and exists[b]) or (modal and b and exists[a]))
+        forall.append(prop or (kind is And and forall[a] and forall[b]) or (modal and not b and forall[a]))
+    mods = frozenset(kind for kind, _, _ in table.nodes if isinstance(kind, Modality))
     return Fragment(
         prop=not mods,
-        exists_aabe=_member_exists(phi),
-        forall_aabe=_member_forall(phi),
+        exists_aabe=exists[root],
+        forall_aabe=forall[root],
         ab_bar=mods <= _AB_MODS,
         modalities=mods,
     )
-
-
-def _member_exists(phi) -> bool:
-    if is_propositional(phi):
-        return True
-    if isinstance(phi, Or):
-        return _member_exists(phi.left) and _member_exists(phi.right)
-    if isinstance(phi, Diamond) and phi.mod in _EXISTS_MODS:
-        return _member_exists(phi.sub)
-    return False
-
-
-def _member_forall(phi) -> bool:
-    if is_propositional(phi):
-        return True
-    if isinstance(phi, And):
-        return _member_forall(phi.left) and _member_forall(phi.right)
-    if isinstance(phi, Box) and phi.mod in _EXISTS_MODS:
-        return _member_forall(phi.sub)
-    return False
 
 
 def negate_to_exists(psi: Formula) -> Formula:
     """Equivalent of the negation of a universal-fragment formula, with
     boxes dualized to diamonds, conjunctions to disjunctions, and negation
     pushed down to the propositional leaves. At most doubles the size.
+    NotInFragment when `psi` is not in ForallAABE.
     """
-    if not _member_forall(psi):
-        raise NotInFragment("negate_to_exists expects a ForallAABE formula")
-    return _neg(psi)
-
-
-def _neg(phi) -> Formula:
-    if is_propositional(phi):
-        return _neg_prop(phi)
-    if isinstance(phi, And):
-        return Or(_neg(phi.left), _neg(phi.right))
-    if isinstance(phi, Box):
-        return Diamond(phi.mod, _neg(phi.sub))
-    raise NotInFragment(f"unexpected node under negation: {phi!r}")
+    if is_propositional(psi):
+        return _neg_prop(psi)
+    if isinstance(psi, And):
+        return Or(negate_to_exists(psi.left), negate_to_exists(psi.right))
+    if isinstance(psi, Box) and psi.mod in _EXISTS_MODS:
+        return Diamond(psi.mod, negate_to_exists(psi.sub))
+    raise NotInFragment(f"{type(psi).__name__} node outside the ForallAABE fragment")
 
 
 def _neg_prop(phi) -> Formula:

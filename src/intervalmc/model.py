@@ -147,6 +147,34 @@ def concat_desc(d1: DescriptorElement, d2: DescriptorElement) -> DescriptorEleme
     return DescriptorElement(d1.v_in, frozenset(interior), d2.v_fin)
 
 
+def _pairs(K: KripkeStructure, v: str, forward: bool = True, within=None):
+    """Breadth-first search over (endpoint, interior) pairs from `v`. A pair
+    (u, I) stands for every track from `v` to u (u to `v` backward) whose
+    states strictly between the endpoints form I, and all of them extend
+    alike. Yields each pair on its first visit with the parent map (None
+    for a seed); a pair whose interior grown by u leaves `within` is not
+    extended."""
+    step = K.successors if forward else K.predecessors
+    parents = dict.fromkeys((w, frozenset()) for w in step(v))
+    frontier = list(parents)
+    for pair in frontier:
+        yield pair, parents
+    while frontier:
+        nxt = []
+        for pair in frontier:
+            u, interior = pair
+            grown = interior | {u}
+            if within is not None and not grown <= within:
+                continue
+            for w in step(u):
+                child = (w, grown)
+                if child not in parents:
+                    parents[child] = pair
+                    nxt.append(child)
+                    yield child, parents
+        frontier = nxt
+
+
 def witnessed_descriptors(K: KripkeStructure, v: str, direction: str = "forward"):
     """All descriptor elements witnessed by tracks starting (or ending) at `v`.
 
@@ -159,70 +187,29 @@ def witnessed_descriptors(K: KripkeStructure, v: str, direction: str = "forward"
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
     forward = direction == "forward"
-    seeds = K.successors(v) if forward else K.predecessors(v)
-    seen = {(u, frozenset()) for u in seeds}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for u, interior in frontier:
-            grown = interior | {u}
-            for w in K.successors(u) if forward else K.predecessors(u):
-                pair = (w, grown)
-                if pair not in seen:
-                    seen.add(pair)
-                    nxt.append(pair)
-        frontier = nxt
-    if forward:
-        found = [DescriptorElement(v, interior, u) for u, interior in seen]
-    else:
-        found = [DescriptorElement(u, interior, v) for u, interior in seen]
+    found = [
+        DescriptorElement(v, interior, u) if forward else DescriptorElement(u, interior, v)
+        for (u, interior), _ in _pairs(K, v, forward)
+    ]
     return tuple(sorted(found, key=DescriptorElement.sort_key))
 
 
 def shortest_witness(K: KripkeStructure, d: DescriptorElement) -> Track:
-    """A shortest track associated with `d`, found by breadth-first search
-    over (endpoint, interior-so-far) pairs.
-
-    A pair (u, I) stands for any partial track from d.v_in ending at u
-    whose states strictly between the endpoints form exactly I; all such
-    partial tracks extend identically, so each pair is visited once.
+    """A shortest track associated with `d`: the first pair (d.v_fin,
+    d.interior) that the breadth-first pair search from d.v_in reaches.
     """
     for s in (d.v_in, d.v_fin, *d.interior):
         if s not in K.labels:
             raise ValidationError("UnknownState", s)
     target = frozenset(d.interior)
-    empty = frozenset()
-    parents: dict = {}
-    frontier = []
-    for w in K.successors(d.v_in):
-        pair = (w, empty)
-        if pair not in parents:
-            parents[pair] = None
-            if w == d.v_fin and target == empty:
-                return (d.v_in, w)
-            frontier.append(pair)
-    while frontier:
-        nxt = []
-        for pair in frontier:
-            u, interior = pair
-            grown = interior | {u}
-            if not grown <= target:
-                continue
-            for w in K.successors(u):
-                child = (w, grown)
-                if child in parents:
-                    continue
-                parents[child] = pair
-                if w == d.v_fin and grown == target:
-                    track = [w]
-                    cur = pair
-                    while cur is not None:
-                        track.append(cur[0])
-                        cur = parents[cur]
-                    track.append(d.v_in)
-                    return tuple(reversed(track))
-                nxt.append(child)
-        frontier = nxt
+    for pair, parents in _pairs(K, d.v_in, within=target):
+        if pair == (d.v_fin, target):
+            track = []
+            while pair is not None:
+                track.append(pair[0])
+                pair = parents[pair]
+            track.append(d.v_in)
+            return tuple(reversed(track))
     raise NotWitnessed(f"no track of the structure realizes {d!r}")
 
 

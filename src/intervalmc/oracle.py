@@ -8,14 +8,13 @@ correct over speed: it enumerates quantified tracks outright and is only
 meant for small bounds. `tracknfa` provides the scalable counterpart for
 the positive diamond fragment.
 
-An evaluator compiles each formula once into a node table shared by all
-formulas it sees: a node is `(kind, a, b)` with child node ids (the name
-of a `Prop`, the value of a `Const`), or `(modality, sub id, is_diamond)`.
-Every node but a constant has its own memo keyed by the track, or by the
-last (`<A>`) or first (`<~A>`) state, on which alone those two depend.
-`<B>` ranges over prefixes, `<E>` over suffixes, and the other four
-modalities over extensions up to the bound, produced by one depth-first
-walker for both directions.
+An evaluator adds each formula it sees to one `logic.FormulaTable`, whose
+hash-consed nodes `(kind, a, b)` it evaluates. Every node but a constant
+has its own memo keyed by the track, or by the last (`<A>`) or first
+(`<~A>`) state, on which alone those two depend. `<B>` ranges over
+prefixes, `<E>` over suffixes, and the other four modalities over
+extensions up to the bound, produced by one depth-first walker for both
+directions.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Optional
 
 from . import logic
 from .errors import BoundTooSmall
-from .logic import And, Box, Const, Diamond, Implies, Modality, Not, Or, Prop
+from .logic import And, Const, Implies, Modality, Not, Or, Prop
 from .model import KripkeStructure, Track, enumerate_tracks, track_label
 
 _A, _ABAR, _B, _E, _BBAR = Modality.A, Modality.ABAR, Modality.B, Modality.E, Modality.BBAR
@@ -56,37 +55,18 @@ class BoundedEvaluator:
             raise ValueError("bound must be at least 2")
         self.K = K
         self.bound = bound
-        self._ids: dict = {}
-        self._nodes: list = []
+        self._table = logic.FormulaTable()
+        self._nodes = self._table.nodes
         self._memo: list = []
 
     def compile(self, phi) -> int:
-        """Node id of `phi`, interning it and its subformulas on first use."""
-        ids = self._ids
-        hit = ids.get(phi)
-        if hit is not None:
-            return hit
-        for f in logic.subformulas(phi):
-            if f in ids:
-                continue
-            if isinstance(f, Prop):
-                node = (Prop, f.name, None)
-            elif isinstance(f, Const):
-                node = (Const, f.value, None)
-            elif isinstance(f, Not):
-                node = (Not, ids[f.sub], None)
-            elif isinstance(f, (And, Or, Implies)):
-                node = (type(f), ids[f.left], ids[f.right])
-            elif not isinstance(f, (Diamond, Box)):
-                raise TypeError(f"not a formula node: {f!r}")
-            elif not f.mod.primitive:
-                raise ValueError("bounded evaluation expects a desugared formula")
-            else:
-                node = (f.mod, ids[f.sub], isinstance(f, Diamond))
-            ids[f] = len(self._nodes)
-            self._nodes.append(node)
-            self._memo.append({})
-        return ids[phi]
+        """Node id of `phi`, adding it and its subformulas on first use."""
+        root = self._table.add(phi)
+        # Per formula, not per new node: a refused formula leaves its nodes.
+        if not self._table.desugared[root]:
+            raise ValueError("bounded evaluation expects a desugared formula")
+        self._memo += [{} for _ in range(len(self._memo), len(self._nodes))]
+        return root
 
     def eval(self, rho: Track, phi) -> bool:
         rho = tuple(rho)

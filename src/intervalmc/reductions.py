@@ -221,7 +221,8 @@ def brute_qbf(psi: QbfFormula) -> bool:
 
     def rec(i, assignment):
         if i == len(psi.prefix):
-            return _cnf_true_partial(psi.matrix, assignment)
+            # QbfFormula binds every matrix variable, so the assignment is total.
+            return _cnf_true(psi.matrix, assignment)
         q, v = psi.prefix[i]
         first = rec(i + 1, assignment | {v: True})
         if q == "e" and first:
@@ -231,13 +232,6 @@ def brute_qbf(psi: QbfFormula) -> bool:
         return rec(i + 1, assignment | {v: False})
 
     return rec(0, {})
-
-
-def _cnf_true_partial(cnf, assignment) -> bool:
-    for clause in cnf.clauses:
-        if not any((lit > 0) == assignment.get(abs(lit), False) for lit in clause):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

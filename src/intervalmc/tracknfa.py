@@ -7,10 +7,12 @@ time. Acceptance may depend on the number of symbols read (the
 right-extension diamond consumes budget from the shared bound), so the
 drivers thread the position through every call.
 
-This computes exactly the bounded semantics of `oracle.eval_bounded` on
-its fragment, but existence queries run as a product-graph search instead
-of track enumeration, which keeps bounds in the hundreds tractable. The
-test suite cross-validates the two implementations at small bounds.
+`compile_positive` builds one automaton per node of the formula's
+`logic.FormulaTable`, children first, and one per maximal propositional
+node. This computes exactly the bounded semantics of `oracle.eval_bounded`
+on its fragment, but existence queries run as a product-graph search
+instead of track enumeration, which keeps bounds in the hundreds
+tractable. The test suite cross-validates the two at small bounds.
 
 Every existence query is one breadth-first search, `_steps`, which
 expands each product node on its first visit only. `_exists_from`,
@@ -25,7 +27,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import BoundTooSmall, NotInFragment
-from .logic import And, Diamond, Modality, Or, eval_prop, is_propositional, prop_letters
+from .logic import And, FormulaTable, Modality, Or, eval_prop, prop_letters
 from .model import KripkeStructure, Track
 
 
@@ -236,29 +238,34 @@ class _RightExtAuto:
 
 def compile_positive(K: KripkeStructure, phi, bound: int):
     """Compile a positive diamond formula; NotInFragment otherwise."""
-    if is_propositional(phi):
-        return _PropAuto(K, phi)
-    if isinstance(phi, Or):
-        return _UnionAuto(
-            compile_positive(K, phi.left, bound), compile_positive(K, phi.right, bound)
-        )
-    if isinstance(phi, And):
-        return _ProductAuto(
-            compile_positive(K, phi.left, bound), compile_positive(K, phi.right, bound)
-        )
-    if isinstance(phi, Diamond):
-        sub = compile_positive(K, phi.sub, bound)
-        if phi.mod is Modality.A:
-            return _MeetsAuto(K, sub, bound)
-        if phi.mod is Modality.ABAR:
-            return _MetByAuto(K, sub, bound)
-        if phi.mod is Modality.B:
-            return _StartedByAuto(sub)
-        if phi.mod is Modality.E:
-            return _FinishedByAuto(sub)
-        if phi.mod is Modality.BBAR:
-            return _RightExtAuto(K, sub, bound)
-    raise NotInFragment(f"not in the positive diamond fragment: {phi!r}")
+    table = FormulaTable()
+    root = table.add(phi)
+    autos: list = [None] * len(table.nodes)
+
+    def auto(i):  # a maximal propositional node's automaton is made on first use
+        autos[i] = autos[i] or _PropAuto(K, table.formulas[i])
+        return autos[i]
+
+    for i, (kind, a, b) in enumerate(table.nodes):
+        if table.prop[i]:
+            continue
+        if kind is Or:
+            autos[i] = _UnionAuto(auto(a), auto(b))
+        elif kind is And:
+            autos[i] = _ProductAuto(auto(a), auto(b))
+        elif kind is Modality.A and b:
+            autos[i] = _MeetsAuto(K, auto(a), bound)
+        elif kind is Modality.ABAR and b:
+            autos[i] = _MetByAuto(K, auto(a), bound)
+        elif kind is Modality.B and b:
+            autos[i] = _StartedByAuto(auto(a))
+        elif kind is Modality.E and b:
+            autos[i] = _FinishedByAuto(auto(a))
+        elif kind is Modality.BBAR and b:
+            autos[i] = _RightExtAuto(K, auto(a), bound)
+        else:
+            raise NotInFragment(f"{type(table.formulas[i]).__name__} node outside the positive diamond fragment")
+    return auto(root)
 
 
 def accepts_track(auto, rho: Track, bound: int) -> bool:

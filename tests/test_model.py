@@ -420,3 +420,96 @@ def test_isomorphic_distinguishes_init():
         init="a",
     )
     assert not isomorphic(K1, K2)
+
+
+# ---------------------------------------------------------------------------
+# The pair search behind both functions, against a copy of the two
+# breadth-first searches it replaced
+
+
+def _old_witnessed_descriptors(K, v, direction="forward"):
+    """`witnessed_descriptors` as it was before the shared pair search."""
+    forward = direction == "forward"
+    seeds = K.successors(v) if forward else K.predecessors(v)
+    seen = {(u, frozenset()) for u in seeds}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for u, interior in frontier:
+            grown = interior | {u}
+            for w in K.successors(u) if forward else K.predecessors(u):
+                pair = (w, grown)
+                if pair not in seen:
+                    seen.add(pair)
+                    nxt.append(pair)
+        frontier = nxt
+    if forward:
+        found = [DescriptorElement(v, interior, u) for u, interior in seen]
+    else:
+        found = [DescriptorElement(u, interior, v) for u, interior in seen]
+    return tuple(sorted(found, key=DescriptorElement.sort_key))
+
+
+def _old_shortest_witness(K, d):
+    """`shortest_witness` as it was before the shared pair search."""
+    target = frozenset(d.interior)
+    empty = frozenset()
+    parents = {}
+    frontier = []
+    for w in K.successors(d.v_in):
+        pair = (w, empty)
+        if pair not in parents:
+            parents[pair] = None
+            if w == d.v_fin and target == empty:
+                return (d.v_in, w)
+            frontier.append(pair)
+    while frontier:
+        nxt = []
+        for pair in frontier:
+            u, interior = pair
+            grown = interior | {u}
+            if not grown <= target:
+                continue
+            for w in K.successors(u):
+                child = (w, grown)
+                if child in parents:
+                    continue
+                parents[child] = pair
+                if w == d.v_fin and grown == target:
+                    track = [w]
+                    cur = pair
+                    while cur is not None:
+                        track.append(cur[0])
+                        cur = parents[cur]
+                    track.append(d.v_in)
+                    return tuple(reversed(track))
+                nxt.append(child)
+        frontier = nxt
+    raise NotWitnessed(f"no track of the structure realizes {d!r}")
+
+
+def test_pair_search_matches_the_two_searches_it_replaced():
+    rng = rng_for("model-pair-search")
+    queries = 0
+    for _ in range(150):
+        K = random_kripke(rng, max_states=5)
+        for v in K.states:
+            for direction in ("forward", "backward"):
+                found = witnessed_descriptors(K, v, direction)
+                assert found == _old_witnessed_descriptors(K, v, direction)
+                queries += 1
+            for d in found:
+                assert shortest_witness(K, d) == _old_shortest_witness(K, d)
+                queries += 1
+        # Elements no track realizes: an interior that is not reachable.
+        for v, w in itertools.product(K.states, repeat=2):
+            d = DescriptorElement(v, frozenset(K.states), w)
+            try:
+                want = _old_shortest_witness(K, d)
+            except NotWitnessed:
+                with pytest.raises(NotWitnessed):
+                    shortest_witness(K, d)
+            else:
+                assert shortest_witness(K, d) == want
+            queries += 1
+    assert queries > 5000, queries
