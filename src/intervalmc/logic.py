@@ -435,14 +435,39 @@ def negate_to_exists(psi: Formula) -> Formula:
     boxes dualized to diamonds, conjunctions to disjunctions, and negation
     pushed down to the propositional leaves. At most doubles the size.
     NotInFragment when `psi` is not in ForallAABE.
+
+    One postorder pass with a stack that holds, per operand, its negation,
+    or None while it is propositional: such an operand is negated only
+    where a modal parent needs it, or at the root.
     """
-    if is_propositional(psi):
+    order = list(subformulas(psi))
+    if not any(isinstance(f, _MODAL) for f in order):
         return _neg_prop(psi)
-    if isinstance(psi, And):
-        return Or(negate_to_exists(psi.left), negate_to_exists(psi.right))
-    if isinstance(psi, Box) and psi.mod in _EXISTS_MODS:
-        return Diamond(psi.mod, negate_to_exists(psi.sub))
-    raise NotInFragment(f"{type(psi).__name__} node outside the ForallAABE fragment")
+    negs: list = []
+    for f in order:
+        if isinstance(f, _BINARY):
+            y, x = negs.pop(), negs.pop()
+            if x is None and y is None:
+                negs.append(None)
+                continue
+            if not isinstance(f, And):
+                raise _outside(f)
+            negs.append(Or(_neg_prop(f.left) if x is None else x, _neg_prop(f.right) if y is None else y))
+        elif isinstance(f, _MODAL):
+            x = negs.pop()
+            if isinstance(f, Diamond) or f.mod not in _EXISTS_MODS:
+                raise _outside(f)
+            negs.append(Diamond(f.mod, _neg_prop(f.sub) if x is None else x))
+        elif isinstance(f, Not):
+            if negs[-1] is not None:
+                raise _outside(f)
+        else:  # a leaf, or not a formula, which `_neg_prop` refuses
+            negs.append(None)
+    return negs.pop()
+
+
+def _outside(f) -> NotInFragment:
+    return NotInFragment(f"{type(f).__name__} node outside the ForallAABE fragment")
 
 
 def _neg_prop(phi) -> Formula:

@@ -4,17 +4,23 @@ Every quantifier ranges over tracks of length at most the bound, the bound
 applying uniformly to nested quantifiers as well. For existential-fragment
 formulas a bounded `true` is exact; for universal-fragment formulas a
 bounded `false` is exact. The implementation favours being obviously
-correct over speed: it enumerates quantified tracks outright and is only
-meant for small bounds. `tracknfa` provides the scalable counterpart for
-the positive diamond fragment.
+correct over speed: but for the two shortcuts below, it enumerates
+quantified tracks outright, and it is only meant for small bounds.
+`tracknfa` provides the scalable counterpart for the positive diamond
+fragment.
 
 An evaluator adds each formula it sees to one `logic.FormulaTable`, whose
-hash-consed nodes `(kind, a, b)` it evaluates. Every node but a constant
-has its own memo keyed by the track, or by the last (`<A>`) or first
-(`<~A>`) state, on which alone those two depend. `<B>` ranges over
-prefixes, `<E>` over suffixes, and the other four modalities over
-extensions up to the bound, produced by one depth-first walker for both
-directions.
+hash-consed nodes `(kind, a, b)` it evaluates. A node with the same value
+on every track (see `compile`) is answered at once. Every other node has
+its own memo keyed by the track, or by the last (`<A>`) or first (`<~A>`)
+state, on which alone those two depend. `<B>` ranges over prefixes, `<E>`
+over suffixes, and the other four modalities over extensions up to the
+bound, produced by one depth-first walker for both directions.
+
+`model_check_bounded` evaluates every initial track, except for a root
+that depends on the endpoints alone: on initial tracks that is the last
+state, so it decides such a root once per reachable last state and
+enumerates tracks only to find the first failing one.
 """
 
 from __future__ import annotations
@@ -35,8 +41,12 @@ class BoundedVerdict:
     value: bool
     bound: int
     failing_track: Optional[Track] = None
-    # Initial tracks evaluated: all of them, or up to the failing one.
+    # Initial tracks the verdict covers: all of them, or up to and
+    # including the failing one; saturating at MAX_COUNT.
     initial_tracks: int = 0
+
+
+MAX_COUNT = 2**63 - 1
 
 
 def default_bound(K: KripkeStructure, phi) -> int:
@@ -58,14 +68,38 @@ class BoundedEvaluator:
         self._table = logic.FormulaTable()
         self._nodes = self._table.nodes
         self._memo: list = []
+        # Per node (see `compile`): its fixed value or None; whether it
+        # depends on the endpoints alone.
+        self.fixed: list = []
+        self.endpoint: list = []
 
     def compile(self, phi) -> int:
-        """Node id of `phi`, adding it and its subformulas on first use."""
+        """Node id of `phi`, adding it and its subformulas on first use.
+
+        A node is fixed when it is a constant, a Boolean node whose fixed
+        operands decide it, `[X]` over a fixed-true or `<X>` over a
+        fixed-false operand. It depends on the endpoints alone when it is
+        fixed, `<A>`/`<~A>`, or a Boolean node over such nodes."""
         root = self._table.add(phi)
         # Per formula, not per new node: a refused formula leaves its nodes.
         if not self._table.desugared[root]:
             raise ValueError("bounded evaluation expects a desugared formula")
-        self._memo += [{} for _ in range(len(self._memo), len(self._nodes))]
+        fixed, endpoint = self.fixed, self.endpoint
+        for kind, a, b in self._nodes[len(self._memo) :]:
+            self._memo.append({})
+            if kind is Const:
+                f, e = a, True
+            elif kind is Prop:
+                f, e = None, False
+            elif isinstance(kind, Modality):
+                # Also on an empty domain, which is why `<X> true` is not fixed.
+                f = fixed[a] if fixed[a] is (not b) else None
+                e = kind is _A or kind is _ABAR
+            else:
+                f = _fold(kind, fixed[a], None if kind is Not else fixed[b])
+                e = endpoint[a] and (kind is Not or endpoint[b])
+            fixed.append(f)
+            endpoint.append(e or f is not None)
         return root
 
     def eval(self, rho: Track, phi) -> bool:
@@ -76,9 +110,10 @@ class BoundedEvaluator:
 
     def _value(self, i: int, rho: Track) -> bool:
         """Truth of node `i` on the track `rho`, of length at most the bound."""
+        out = self.fixed[i]
+        if out is not None:
+            return out
         kind, a, b = self._nodes[i]
-        if kind is Const:
-            return a
         key = rho[-1] if kind is _A else rho[0] if kind is _ABAR else rho
         memo = self._memo[i]
         out = memo.get(key)
@@ -131,6 +166,18 @@ class BoundedEvaluator:
             yield t
 
 
+def _fold(kind, x, y):
+    """Value of a Boolean node from its operands' fixed values (None when
+    not fixed), or None when that does not fix it."""
+    if kind is Not:
+        return None if x is None else not x
+    if kind is And:
+        return False if False in (x, y) else None if None in (x, y) else True
+    if kind is Implies:
+        x = _fold(Not, x, None)
+    return True if True in (x, y) else None if None in (x, y) else False
+
+
 def eval_bounded(K: KripkeStructure, rho: Track, phi, bound: int) -> bool:
     """Truth of a desugared formula on one track under the bounded semantics."""
     return BoundedEvaluator(K, bound).eval(rho, phi)
@@ -142,9 +189,34 @@ def model_check_bounded(K: KripkeStructure, phi, bound: int) -> BoundedVerdict:
     """
     ev = BoundedEvaluator(K, bound)
     root = ev.compile(phi)
+    endpoint = ev.endpoint[root]
+    if endpoint:
+        count, tracks = _by_last_state(K, bound)
+        failing = {w for w, rho in tracks.items() if not ev._value(root, rho)}
+        if not failing:
+            return BoundedVerdict(True, bound, None, count)
     count = 0
     for rho in enumerate_tracks(K, bound, start=K.init):
         count += 1
-        if not ev._value(root, rho):
+        if (rho[-1] in failing) if endpoint else not ev._value(root, rho):
             return BoundedVerdict(False, bound, rho, count)
     return BoundedVerdict(True, bound, None, count)
+
+
+def _by_last_state(K: KripkeStructure, bound: int):
+    """(number of initial tracks up to the bound, saturating at MAX_COUNT;
+    a shortest initial track to each last state they reach), breadth first
+    over the number of tracks of each length per last state."""
+    total, tracks = 0, {}
+    layer = {K.init: 1}
+    for _ in range(bound - 1):
+        nxt: dict = {}
+        for v, n in layer.items():
+            prefix = tracks.get(v, (v,))
+            for w in K.successors(v):
+                nxt[w] = min(nxt.get(w, 0) + n, MAX_COUNT)
+                if w not in tracks:
+                    tracks[w] = prefix + (w,)
+        total = min(total + sum(nxt.values()), MAX_COUNT)
+        layer = nxt
+    return total, tracks

@@ -1,4 +1,5 @@
 import json
+import time
 
 from intervalmc import enumerate_tracks, parse_kripke
 from intervalmc.cli import main
@@ -145,6 +146,31 @@ def test_check_oracle_counts_initial_tracks(kequiv_path, capsys):
     assert (code, report["result"]) == (1, "fails")
     failing = tuple(report["counterexample"])
     assert report["stats"]["initial_tracks"] == tracks.index(failing) + 1 == 4
+
+
+def test_check_oracle_constant_root_at_default_bound(kequiv_path, capsys):
+    # `[~E] true` folds to true, so the oracle only counts the initial
+    # tracks up to the default bound of 204 instead of evaluating each.
+    scheduler = kequiv_path.parent / "scheduler.kripke"
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "check", "--model", str(scheduler), "--formula", "[~E] true")
+    assert time.perf_counter() - started < 1.0
+    assert code == 4
+    assert out.strip().splitlines()[0] == "result: approximate-true"
+
+
+def test_check_oracle_track_count_saturates(tmp_path, capsys):
+    states = [f"s{i}" for i in range(6)]
+    lines = ["ap: p", "init: s0"] + [f"state {s}: p" for s in states]
+    lines += [f"edge: {s} {t}" for s in states for t in states]
+    model = tmp_path / "complete6.kripke"
+    model.write_text("\n".join(lines) + "\n")
+    argv = ("check", "--model", str(model), "--formula", "[~E] true", "--bound", "40", "--json")
+    code, out, _ = run(capsys, *argv)
+    report = json.loads(out)
+    assert (code, report["result"]) == (4, "approximate-true")
+    # 6**39 tracks of length 40 alone: the count stops at 2**63 - 1.
+    assert report["stats"]["initial_tracks"] == 2**63 - 1
 
 
 def test_check_input_error_exit_two(tmp_path, capsys):

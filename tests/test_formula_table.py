@@ -215,3 +215,18 @@ def test_deep_chain_needs_no_recursion(kequiv, run):
     started = time.perf_counter()
     assert run(kequiv, phi) is not None
     assert time.perf_counter() - started < 1.0
+
+
+def test_deep_box_chain_dualizes_in_one_pass():
+    # `[A](... & q)` 2,000 deep: linear time and no recursion along the
+    # chain, whose levels each hold a propositional conjunct.
+    psi, want = Prop("p"), Not(Prop("p"))
+    for _ in range(2000):
+        psi = Box(Modality.A, And(psi, Prop("q")))
+        want = Diamond(Modality.A, Or(want, Not(Prop("q"))))
+    started = time.perf_counter()
+    got = negate_to_exists(psi)
+    assert time.perf_counter() - started < 0.5
+    # Equal formulas get one node id; `==` would recurse 2,000 deep.
+    table = FormulaTable()
+    assert table.add(got) == table.add(want)

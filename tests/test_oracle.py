@@ -4,6 +4,7 @@ from intervalmc import descriptor_of, enumerate_tracks
 from intervalmc.errors import BoundTooSmall, NotInFragment
 from intervalmc.logic import (
     FALSE,
+    TRUE,
     And,
     Box,
     Diamond,
@@ -530,6 +531,61 @@ def test_compiled_evaluator_matches_formula_keyed_evaluator():
         for rho in enumerate_tracks(K, bound):
             for f in shared:
                 assert ev.eval(rho, f) == old.eval(rho, f)
+
+
+def _every_track_check(K, phi, bound):
+    """`model_check_bounded` as it was before its shortcuts: every initial
+    track enumerated and evaluated, here by the formula-keyed evaluator."""
+    ev = _FormulaKeyedEvaluator(K, bound)
+    count = 0
+    for rho in enumerate_tracks(K, bound, start=K.init):
+        count += 1
+        if not ev.eval(rho, phi):
+            return False, rho, count
+    return True, None, count
+
+
+def _endpoint_biased_formula(rng, depth):
+    """Mostly roots decided by the endpoints: `<A>`/`<~A>` as diamonds or
+    boxes and Boolean combinations of them, `[X] true`, `<X> false`, and
+    constants under the other modalities, where `<X> true` and `[X] false`
+    are not constant (the domain can be empty)."""
+    r = rng.random()
+    if depth == 0 or r < 0.15:
+        return rng.choice((TRUE, FALSE, Prop("p"), Prop("q")))
+    node = rng.choice((Diamond, Box))
+    if r < 0.45:
+        if rng.random() < 0.5:
+            sub = random_hs_formula(rng, ("p", "q"), modal_budget=1)
+        else:
+            sub = _endpoint_biased_formula(rng, depth - 1)
+        return node(rng.choice((Modality.A, Modality.ABAR)), sub)
+    if r < 0.55:
+        return Not(_endpoint_biased_formula(rng, depth - 1))
+    if r < 0.8:
+        left, right = _endpoint_biased_formula(rng, depth - 1), _endpoint_biased_formula(rng, depth - 1)
+        return rng.choice((And, Or, Implies))(left, right)
+    sub = rng.choice((TRUE, FALSE)) if rng.random() < 0.7 else _endpoint_biased_formula(rng, depth - 1)
+    return node(rng.choice(HS_MODS), sub)
+
+
+def test_endpoint_shortcut_matches_evaluating_every_track():
+    rng = rng_for("endpoint-shortcut")
+    endpoint = failing = fixed = 0
+    for _ in range(300):
+        K = random_kripke(rng, max_states=4, letters=("p", "q"))
+        bound = rng.randint(2, 6)
+        phi = _endpoint_biased_formula(rng, 3)
+        verdict = model_check_bounded(K, phi, bound)
+        want = _every_track_check(K, phi, bound)
+        assert (verdict.value, verdict.failing_track, verdict.initial_tracks) == want, (phi, bound)
+        ev = BoundedEvaluator(K, bound)
+        root = ev.compile(phi)
+        endpoint += ev.endpoint[root]
+        failing += ev.endpoint[root] and not want[0]
+        fixed += ev.fixed[root] is not None
+    # Both outcomes of the shortcut, and folded roots, are exercised.
+    assert endpoint >= 150 and failing >= 60 and fixed >= 50, (endpoint, failing, fixed)
 
 
 def test_automaton_rejects_unsupported_nodes(kequiv):
