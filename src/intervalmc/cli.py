@@ -25,17 +25,17 @@ EXIT_APPROXIMATE = 4
 # The fragment of each exact engine, in `auto`'s order; the rest go to the oracle.
 EXACT_ENGINES = {"descriptor": "ForallAABE", "class": "ABbar"}
 
+# First line of a `gen-sat` model file, followed by the instance's variables.
+SAT_HEADER = "# gen-sat:"
 
-def _load_model(path):
+
+def _read(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return model.parse_kripke(handle.read())
+        return handle.read()
 
 
 def _load_formula(args):
-    if args.formula is not None:
-        return logic.parse_formula(args.formula)
-    with open(args.formula_file, "r", encoding="utf-8") as handle:
-        return logic.parse_formula(handle.read())
+    return logic.parse_formula(args.formula if args.formula is not None else _read(args.formula_file))
 
 
 def _emit(report, as_json):
@@ -53,7 +53,8 @@ def _emit(report, as_json):
 
 
 def cmd_check(args) -> int:
-    K = _load_model(args.model)
+    text = _read(args.model)
+    K = model.parse_kripke(text)
     phi = _load_formula(args)
     desugared = logic.desugar(phi)
     frag = logic.classify(desugared)
@@ -104,12 +105,10 @@ def cmd_check(args) -> int:
         "stats": stats,
         "bound": bound,
     }
-    if engine == "descriptor" and result == "fails" and _looks_like_sat_instance(K):
-        variables = sorted(K.ap)
-        report["stats"]["assignment"] = {
-            v: reductions.decode_sat_assignment(variables, K, counterexample)[v]
-            for v in variables
-        }
+    first = text.split("\n", 1)[0]
+    variables = first[len(SAT_HEADER):].split() if first.startswith(SAT_HEADER) else []
+    if engine == "descriptor" and result == "fails" and variables:
+        report["stats"]["assignment"] = reductions.decode_sat_assignment(variables, K, counterexample)
     _emit(report, args.json)
     if result == "holds":
         return EXIT_HOLDS
@@ -118,29 +117,23 @@ def cmd_check(args) -> int:
     return EXIT_APPROXIMATE
 
 
-def _looks_like_sat_instance(K) -> bool:
-    if K.init != "w0" or not K.ap:
-        return False
-    expected = {"w0"}
-    for i in range(1, len(K.ap) + 1):
-        expected |= {f"w{i}_T", f"w{i}_F"}
-    return set(K.states) == expected
-
-
 def cmd_generate(args) -> int:
     # The parser and builder are named, not bound, so that they are looked
     # up in `reductions` when the command runs.
-    with open(args.source, "r", encoding="utf-8") as handle:
-        instance = getattr(reductions, args.parse)(handle.read())
+    instance = getattr(reductions, args.parse)(_read(args.source))
     K, phi = getattr(reductions, args.build)(instance)
-    _write_instance(args.out_model, args.out_formula, K, phi)
+    header = ""
+    if args.command == "gen-sat":
+        variables = (reductions.var_name(i) for i in range(1, instance.num_vars + 1))
+        header = " ".join((SAT_HEADER, *variables)) + "\n"
+    _write_instance(args.out_model, args.out_formula, K, phi, header)
     print(f"|W|={len(K.states)} |delta|={len(K.edges)} |pl|={len(logic.prop_letters(phi))}")
     return EXIT_HOLDS
 
 
-def _write_instance(model_path, formula_path, K, phi):
+def _write_instance(model_path, formula_path, K, phi, header):
     with open(model_path, "w", encoding="utf-8") as handle:
-        handle.write(model.format_kripke(K))
+        handle.write(header + model.format_kripke(K))
     with open(formula_path, "w", encoding="utf-8") as handle:
         handle.write(logic.to_text(phi) + "\n")
 
@@ -164,7 +157,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_descriptors(args) -> int:
-    K = _load_model(args.model)
+    K = model.parse_kripke(_read(args.model))
     direction = {"fwd": "forward", "bwd": "backward"}[args.dir]
     for d in model.witnessed_descriptors(K, args.state, direction):
         witness = model.shortest_witness(K, d)

@@ -6,6 +6,9 @@ Surface syntax (ASCII): letters `[a-zA-Z_][a-zA-Z0-9_]*`, constants
 `true`/`false`, connectives `!`, `&`, `|`, `->` (right-associative), and
 modalities `<A>`, `[A]`, ..., with `~` marking inverses (`<~B>`, `[~A]`).
 Precedence: unary operators bind tightest, then `&`, then `|`, then `->`.
+
+The parser, the printer and desugaring keep explicit stacks, so nesting
+depth costs no recursion; `eval_prop` and `_neg_prop` still recurse.
 """
 
 from __future__ import annotations
@@ -199,158 +202,123 @@ class FormulaTable:
 _MOD_BY_TEXT = {m.text: m for m in Modality}
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        self._scan()
-        self.index = 0
-
-    def _scan(self):
-        text, n = self.text, len(self.text)
-        i = 0
-        while i < n:
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c in "()!&|":
-                self.tokens.append((c, c, i))
-                i += 1
-            elif c == "-":
-                if i + 1 < n and text[i + 1] == ">":
-                    self.tokens.append(("->", "->", i))
-                    i += 2
-                else:
-                    raise ParseError("expected '->'", column=i + 1)
-            elif c in "<[":
-                close = ">" if c == "<" else "]"
-                j = text.find(close, i + 1)
-                if j < 0:
-                    raise ParseError(f"unterminated modality starting with {c!r}", column=i + 1)
-                inner = text[i + 1 : j].replace(" ", "")
-                if inner not in _MOD_BY_TEXT:
-                    raise UnknownModality(f"unknown modality {inner!r}", column=i + 1)
-                kind = "diamond" if c == "<" else "box"
-                self.tokens.append((kind, inner, i))
-                i = j + 1
-            elif c.isalpha() or c == "_":
-                j = i + 1
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                word = text[i:j]
-                if word in ("true", "false"):
-                    self.tokens.append((word, word, i))
-                else:
-                    self.tokens.append(("ident", word, i))
-                i = j
+def _tokens(text: str) -> list:
+    """Tokens `(kind, value, position)` of `text`, then `("eof", "", len(text))`."""
+    tokens, n, i = [], len(text), 0
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c in "()!&|":
+            tokens.append((c, c, i))
+            i += 1
+        elif c == "-":
+            if i + 1 < n and text[i + 1] == ">":
+                tokens.append(("->", "->", i))
+                i += 2
             else:
-                raise ParseError(f"unexpected character {c!r}", column=i + 1)
+                raise ParseError("expected '->'", column=i + 1)
+        elif c in "<[":
+            close = ">" if c == "<" else "]"
+            j = text.find(close, i + 1)
+            if j < 0:
+                raise ParseError(f"unterminated modality starting with {c!r}", column=i + 1)
+            inner = text[i + 1 : j].replace(" ", "")
+            if inner not in _MOD_BY_TEXT:
+                raise UnknownModality(f"unknown modality {inner!r}", column=i + 1)
+            tokens.append(("diamond" if c == "<" else "box", inner, i))
+            i = j + 1
+        elif c.isalpha() or c == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            tokens.append((word if word in ("true", "false") else "ident", word, i))
+            i = j
+        else:
+            raise ParseError(f"unexpected character {c!r}", column=i + 1)
+    tokens.append(("eof", "", n))
+    return tokens
 
-    def peek(self):
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return ("eof", "", len(self.text))
 
-    def take(self):
-        tok = self.peek()
-        self.index += 1
-        return tok
+# Binding powers on the operator stack: prefix operators 3, `&` 2, `|` 1,
+# `->` 0, `(` -1 (reduced only by its `)`), and the stack's bottom -2.
+_OPENING = {"!": (3, Not), "diamond": (3, Diamond), "box": (3, Box), "(": (-1, None)}
+_BINARY_OPS = {"&": (2, And), "|": (1, Or), "->": (0, Implies)}
+_ATOMS = {"true": TRUE, "false": FALSE}
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse surface syntax into an AST; sugar modalities are kept intact."""
-    lex = _Lexer(text)
-    phi = _parse_implies(lex)
-    kind, value, pos = lex.peek()
-    if kind != "eof":
-        raise ParseError(f"unexpected trailing input {value!r}", column=pos + 1)
-    return phi
+    """Parse surface syntax into an AST; sugar modalities are kept intact.
+
+    One operator-precedence loop over a stack of `(power, constructor,
+    first argument)` entries: an operator reduces the entries of at least
+    its power (above it for the right-associative `->`) into the operand
+    `phi`, then is pushed with `phi` as its left operand."""
+    ops = [(-2, None, None)]
+    tokens = iter(_tokens(text))
+    for kind, value, pos in tokens:
+        # Operand position: prefix operators and `(` stack up until an atom.
+        if kind in _OPENING:
+            ops.append(_OPENING[kind] + (_MOD_BY_TEXT.get(value),))
+            continue
+        phi = Prop(value) if kind == "ident" else _ATOMS.get(kind)
+        if phi is None:
+            raise ParseError(f"missing operand (found {value or kind!r})", column=pos + 1)
+        # Operator position: a connective, or `)` / end of input.
+        for kind, value, pos in tokens:
+            power, node = _BINARY_OPS.get(kind, (0, None))
+            while ops[-1][0] >= power + (kind == "->"):
+                _, make, first = ops.pop()
+                phi = make(phi) if first is None else make(first, phi)
+            if node is not None:
+                ops.append((power, node, phi))
+                break
+            if kind == ")" and ops[-1][0] == -1:
+                ops.pop()
+            elif kind == "eof" and len(ops) == 1:
+                return phi
+            else:
+                message = "expected ')'" if ops[-1][0] == -1 else f"unexpected trailing input {value!r}"
+                raise ParseError(message, column=pos + 1)
 
 
-def _parse_implies(lex) -> Formula:
-    left = _parse_or(lex)
-    if lex.peek()[0] == "->":
-        lex.take()
-        return Implies(left, _parse_implies(lex))
-    return left
-
-
-def _parse_or(lex) -> Formula:
-    phi = _parse_and(lex)
-    while lex.peek()[0] == "|":
-        lex.take()
-        phi = Or(phi, _parse_and(lex))
-    return phi
-
-
-def _parse_and(lex) -> Formula:
-    phi = _parse_unary(lex)
-    while lex.peek()[0] == "&":
-        lex.take()
-        phi = And(phi, _parse_unary(lex))
-    return phi
-
-
-def _parse_unary(lex) -> Formula:
-    kind, value, pos = lex.peek()
-    if kind == "!":
-        lex.take()
-        return Not(_parse_unary(lex))
-    if kind in ("diamond", "box"):
-        lex.take()
-        return (Diamond if kind == "diamond" else Box)(_MOD_BY_TEXT[value], _parse_unary(lex))
-    return _parse_atom(lex)
-
-
-def _parse_atom(lex) -> Formula:
-    kind, value, pos = lex.take()
-    if kind == "true":
-        return TRUE
-    if kind == "false":
-        return FALSE
-    if kind == "ident":
-        return Prop(value)
-    if kind == "(":
-        phi = _parse_implies(lex)
-        k, v, p = lex.take()
-        if k != ")":
-            raise ParseError("expected ')'", column=p + 1)
-        return phi
-    raise ParseError(f"missing operand (found {value or kind!r})", column=pos + 1)
-
-
-def _atomic(phi):
-    return isinstance(phi, (Prop, Const))
+_LEAF = (Prop, Const)
+# Infix text and the operand types printed in parentheses on the left and
+# on the right: `&` and `|` parse left-associatively, `->` right-associatively.
+_WRAP = {And, Or, Implies, Diamond, Box}
+_INFIX = {
+    And: (" & ", _WRAP - {And}, _WRAP),
+    Or: (" | ", _WRAP - {Or}, _WRAP),
+    Implies: (" -> ", {Implies}, ()),
+}
 
 
 def to_text(phi: Formula) -> str:
-    """Render an AST back to surface syntax (parses back to the same tree)."""
-    if isinstance(phi, Prop):
-        return phi.name
-    if isinstance(phi, Const):
-        return "true" if phi.value else "false"
-    if isinstance(phi, Not):
-        return "!" + (to_text(phi.sub) if _atomic(phi.sub) else f"({to_text(phi.sub)})")
-    if isinstance(phi, (Diamond, Box)):
-        op = f"<{phi.mod.text}>" if isinstance(phi, Diamond) else f"[{phi.mod.text}]"
-        return f"{op} {to_text(phi.sub)}" if _atomic(phi.sub) else f"{op}({to_text(phi.sub)})"
-    if isinstance(phi, And):
-        return f"{_pp_operand(phi.left, And)} & {_pp_operand(phi.right, None)}"
-    if isinstance(phi, Or):
-        return f"{_pp_operand(phi.left, Or)} | {_pp_operand(phi.right, None)}"
-    if isinstance(phi, Implies):
-        lhs = f"({to_text(phi.left)})" if isinstance(phi.left, Implies) else to_text(phi.left)
-        return f"{lhs} -> {to_text(phi.right)}"
-    raise TypeError(f"not a formula node: {phi!r}")
-
-
-def _pp_operand(phi, left_of) -> str:
-    # Binary connectives parse left-associatively, so only a left operand
-    # of the same connective may stay bare.
-    if _atomic(phi) or isinstance(phi, Not) or (left_of is not None and isinstance(phi, left_of)):
-        return to_text(phi)
-    return f"({to_text(phi)})"
+    """Render an AST back to surface syntax (parses back to the same tree),
+    in one postorder pass with a stack of operand texts."""
+    out: list = []
+    for f in subformulas(phi):
+        kind = type(f)
+        if kind is Prop:
+            out.append(f.name)
+        elif kind in _INFIX:
+            op, wrap_left, wrap_right = _INFIX[kind]
+            b, a = out.pop(), out.pop()
+            a = f"({a})" if type(f.left) in wrap_left else a
+            out.append(a + op + (f"({b})" if type(f.right) in wrap_right else b))
+        elif kind is Not:
+            a = out.pop()
+            out.append("!" + a if isinstance(f.sub, _LEAF) else f"!({a})")
+        elif kind is Const:
+            out.append("true" if f.value else "false")
+        elif kind in _MODAL:
+            op = f"<{f.mod.text}>" if kind is Diamond else f"[{f.mod.text}]"
+            a = out.pop()
+            out.append(f"{op} {a}" if isinstance(f.sub, _LEAF) else f"{op}({a})")
+        else:
+            raise TypeError(f"not a formula node: {f!r}")
+    return out.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -370,19 +338,25 @@ _SUGAR = {
 
 
 def desugar(phi: Formula) -> Formula:
-    """Rewrite L/D/O modalities (and inverses) into the six primitives."""
-    if isinstance(phi, (Prop, Const)):
-        return phi
-    if isinstance(phi, Not):
-        return Not(desugar(phi.sub))
-    if isinstance(phi, _BINARY):
-        return type(phi)(desugar(phi.left), desugar(phi.right))
-    sub = desugar(phi.sub)
-    node = type(phi)
-    if phi.mod.primitive:
-        return node(phi.mod, sub)
-    outer, inner = _SUGAR[phi.mod]
-    return node(outer, node(inner, sub))
+    """Rewrite L/D/O modalities (and inverses) into the six primitives, in
+    one postorder pass; a subformula whose children did not change is kept."""
+    out: list = []
+    for f in subformulas(phi):
+        if isinstance(f, _BINARY):
+            b, a = out.pop(), out.pop()
+            out.append(f if a is f.left and b is f.right else type(f)(a, b))
+        elif isinstance(f, _UNARY):
+            a = out.pop()
+            if isinstance(f, Not):
+                out.append(f if a is f.sub else Not(a))
+            elif f.mod.primitive:
+                out.append(f if a is f.sub else type(f)(f.mod, a))
+            else:
+                outer, inner = _SUGAR[f.mod]
+                out.append(type(f)(outer, type(f)(inner, a)))
+        else:
+            out.append(f)
+    return out.pop()
 
 
 # ---------------------------------------------------------------------------

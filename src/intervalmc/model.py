@@ -31,7 +31,7 @@ class KripkeStructure:
 
     def __init__(self, ap, states, edges, labels, init):
         self.ap = frozenset(ap)
-        self.states = tuple(dict.fromkeys(states))
+        self.states = tuple(states)
         self.edges = frozenset((str(a), str(b)) for a, b in edges)
         self.labels = {s: frozenset(labels.get(s, ())) for s in self.states}
         self.init = init

@@ -206,11 +206,14 @@ def model_check_bounded(K: KripkeStructure, phi, bound: int) -> BoundedVerdict:
 def _by_last_state(K: KripkeStructure, bound: int):
     """(number of initial tracks up to the bound, saturating at MAX_COUNT;
     a shortest initial track to each last state they reach), breadth first
-    over the number of tracks of each length per last state."""
+    over the number of tracks of each length per last state. Stops early
+    once the count is saturated and a step reaches no new last state: no
+    later step can then reach one either."""
     total, tracks = 0, {}
     layer = {K.init: 1}
     for _ in range(bound - 1):
         nxt: dict = {}
+        seen = len(tracks)
         for v, n in layer.items():
             prefix = tracks.get(v, (v,))
             for w in K.successors(v):
@@ -218,5 +221,7 @@ def _by_last_state(K: KripkeStructure, bound: int):
                 if w not in tracks:
                     tracks[w] = prefix + (w,)
         total = min(total + sum(nxt.values()), MAX_COUNT)
+        if total == MAX_COUNT and len(tracks) == seen:
+            break
         layer = nxt
     return total, tracks

@@ -173,6 +173,19 @@ def test_check_oracle_track_count_saturates(tmp_path, capsys):
     assert report["stats"]["initial_tracks"] == 2**63 - 1
 
 
+def test_check_oracle_saturated_count_stops_early(kequiv_path, capsys):
+    # Once the count is saturated and a step reaches no new last state, the
+    # remaining steps of a bound of 10**6 change nothing and are skipped.
+    scheduler = kequiv_path.parent / "scheduler.kripke"
+    argv = ("check", "--model", str(scheduler), "--formula", "[~E] true", "--bound", str(10**6), "--json")
+    started = time.perf_counter()
+    code, out, _ = run(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    report = json.loads(out)
+    assert (code, report["result"]) == (4, "approximate-true")
+    assert report["stats"]["initial_tracks"] == 2**63 - 1
+
+
 def test_check_input_error_exit_two(tmp_path, capsys):
     missing = tmp_path / "missing.kripke"
     code, _, err = run(capsys, "check", "--model", str(missing), "--formula", "p")
@@ -281,6 +294,34 @@ def test_gen_sat_positive_literal_counterexample(tmp_path, capsys):
     report = json.loads(out)
     assert report["counterexample"] == ["w0", "w1_T"]
     assert report["stats"]["assignment"] == {"x1": True}
+
+
+def test_gen_sat_header_names_the_variables(tmp_path, capsys):
+    dimacs = tmp_path / "f.cnf"
+    dimacs.write_text("p cnf 3 1\n1 -3 0\n")
+    model_out, formula_out = tmp_path / "m.kripke", tmp_path / "f.formula"
+    argv = ("gen-sat", "--dimacs", str(dimacs), "--out-model", str(model_out), "--out-formula", str(formula_out))
+    assert run(capsys, *argv)[0] == 0
+    assert model_out.read_text().splitlines()[0] == "# gen-sat: x1 x2 x3"
+    code, out, _ = run(capsys, "check", "--model", str(model_out), "--formula-file", str(formula_out), "--json")
+    assert code == 1
+    assert set(json.loads(out)["stats"]["assignment"]) == {"x1", "x2", "x3"}
+
+
+def test_sat_shaped_structure_without_header_gets_no_assignment(tmp_path, capsys):
+    # The shape `gen-sat` builds for one variable, written by hand: only the
+    # header line marks a SAT instance.
+    lines = ["ap: x1", "init: w0", "state w0: x1", "state w1_T: x1", "state w1_F:"]
+    lines += ["edge: w0 w1_T", "edge: w0 w1_F", "edge: w1_T w1_T", "edge: w1_F w1_F"]
+    model = tmp_path / "hand.kripke"
+    model.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "check", "--model", str(model), "--formula", "!(!x1)", "--json")
+    report = json.loads(out)
+    assert (code, report["engine"], report["result"]) == (1, "descriptor", "fails")
+    assert "assignment" not in report["stats"]
+    model.write_text("# gen-sat: x1\n" + model.read_text())
+    code, out, _ = run(capsys, "check", "--model", str(model), "--formula", "!(!x1)", "--json")
+    assert json.loads(out)["stats"]["assignment"] == {"x1": False}
 
 
 def test_gen_qbf_flow(tmp_path, capsys):

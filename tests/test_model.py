@@ -118,6 +118,12 @@ def test_constructor_enforces_left_totality():
         )
 
 
+def test_constructor_rejects_duplicate_states():
+    with pytest.raises(ValidationError) as err:
+        KripkeStructure(ap=(), states=("a", "a"), edges={("a", "a")}, labels={}, init="a")
+    assert err.value.reason == "DuplicateState"
+
+
 # ---------------------------------------------------------------------------
 # Labels, descriptors, concatenation
 
