@@ -3,7 +3,10 @@
 Exit codes: 0 holds, 1 fails, 2 input error (for every subcommand: an
 unreadable or malformed input, or an output that cannot be written), 3
 formula outside the selected engine's fragment, 4 approximate verdict
-(bounded oracle on a formula it cannot decide exactly).
+(bounded oracle on a formula it cannot decide exactly). A formula nested
+deeper than the selected engine can recurse is an input error: `check`
+prints `error: formula nested too deeply for the <engine> engine` and
+exits 2.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ def cmd_check(args) -> int:
     engine, names = args.engine, frag.names()
     if engine == "auto":
         engine = next((e for e, name in EXACT_ENGINES.items() if name in names), "oracle")
+        args.engine = engine
     elif engine in EXACT_ENGINES and EXACT_ENGINES[engine] not in names:
         print(f"error: formula is not in the {EXACT_ENGINES[engine]} fragment", file=sys.stderr)
         return EXIT_FRAGMENT
@@ -215,6 +219,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (IntervalMCError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except RecursionError:
+        # Only `check` recurses on a formula. Uncaught, this would exit 1,
+        # which reads as `fails`.
+        print(f"error: formula nested too deeply for the {args.engine} engine", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -5,6 +5,7 @@ from intervalmc.class_checker import ClassEngine, TrackClass, check_ab, class_of
 from intervalmc.errors import NotInFragment
 from intervalmc.logic import (
     And,
+    Box,
     Const,
     Diamond,
     Implies,
@@ -297,3 +298,39 @@ def test_class_ids_agree_with_frozenset_reference():
         assert verdict.stats["classes_realized"] == len(ref.classes)
         fails += verdict.result == "fails"
     assert 40 <= fails <= 160
+
+
+def _nested_a_formula(rng, letters, depth):
+    """`depth` nested <A>/[A], each over a Boolean combination of the one
+    below and a small formula that may hold <A> and <~B> nodes itself."""
+    phi = random_ab_formula(rng, letters, max_nodes=4)
+    for _ in range(depth):
+        side = random_ab_formula(rng, letters, max_nodes=4)
+        phi = rng.choice((And, Or, Implies))(*rng.sample((phi, side), 2))
+        if rng.random() < 0.3:
+            phi = Not(phi)
+        phi = rng.choice((Diamond, Box))(Modality.A, phi)
+    return phi
+
+
+def test_nested_a_formulas_agree_with_frozenset_reference():
+    # The reference decides <A> through each state's forward reach set, the
+    # engine by one backward search per <A> node.
+    rng = rng_for("nested-a-vs-frozensets")
+    letters = ("p", "q", "r")
+    fails = 0
+    for _ in range(50):
+        K = random_kripke(rng, min_states=3, max_states=8, letters=letters)
+        psi = desugar(_nested_a_formula(rng, letters, rng.randint(3, 5)))
+        ref = _FrozensetEngine(K, psi)
+        engine = ClassEngine(K, psi)
+        assert engine.classes == ref.classes
+        for v in K.states:
+            assert engine.classes_from(v) == ref.from_[v]
+        for sub in set(subformulas(psi)):
+            for c in ref.classes:
+                assert engine.truth(sub, c) == (c in ref.sat[sub])
+        verdict = check_ab(K, psi)
+        assert (verdict.result, verdict.counterexample) == ref.check(psi)
+        fails += verdict.result == "fails"
+    assert 10 <= fails <= 40

@@ -219,6 +219,19 @@ def test_check_bad_formula_exit_two(kequiv_path, capsys):
     assert code == 2
 
 
+def test_check_too_deep_formula_exit_two(kequiv_path, capsys):
+    # The descriptor engine and the oracle recurse on the formula; running
+    # out of stack must not exit 1, which reads as `fails`.
+    scheduler = kequiv_path.parent / "scheduler.kripke"
+    deep = "!" * 5000 + "r0"
+    for engine, used in (("auto", "descriptor"), ("oracle", "oracle")):
+        argv = ("check", "--model", str(scheduler), "--formula", deep, "--engine", engine)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: formula nested too deeply for the {used} engine\n"
+
+
 def test_check_formula_file(kequiv_path, tmp_path, capsys):
     phi = tmp_path / "phi.formula"
     phi.write_text("[A] true\n")

@@ -216,6 +216,39 @@ def test_qbf_instance_differential_at_benchmark_sizes():
     assert {"holds", "fails"} <= set(verdicts)
 
 
+def _qbf_with_value(rng, n, want):
+    """Seeded draw of n variables, n // 2 of them universal, and n clauses
+    of 1-3 literals, redrawn until its truth value is `want`."""
+    for _ in range(500):
+        order = rng.sample(range(1, n + 1), n)
+        kinds = ["a"] * (n // 2) + ["e"] * (n - n // 2)
+        rng.shuffle(kinds)
+        clauses = []
+        for _ in range(n):
+            chosen = rng.sample(range(1, n + 1), rng.randint(1, 3))
+            clauses.append(tuple(v if rng.random() < 0.5 else -v for v in chosen))
+        qbf = QbfFormula(tuple(zip(kinds, order)), CnfFormula(n, tuple(clauses)))
+        if brute_qbf(qbf) == want:
+            return qbf
+    raise AssertionError(f"no draw with value {want} at n={n}")
+
+
+def test_qbf_instance_differential_at_largest_benchmark_sizes():
+    # 9 and 10 variables, one true and one false draw each, next to the
+    # benchmark's largest instances (n = 11).
+    rng = rng_for("qbf-large")
+    for n in (9, 10):
+        for want in (True, False):
+            qbf = _qbf_with_value(rng, n, want)
+            K, xi = build_qbf_instance(qbf)
+            verdict = check_ab(K, xi)
+            assert verdict.holds == want
+            if not want:
+                ce = verdict.counterexample
+                assert is_track(K, ce) and ce[0] == K.init
+                assert not ClassEngine(K, xi).truth(xi, class_of(K, xi, ce))
+
+
 def test_qbf_instance_round_trip_through_files(tmp_path):
     qbf = parse_qdimacs("p cnf 2 2\ne 2 0\na 1 0\n-1 2 0\n1 -2 0\n")
     K, xi = build_qbf_instance(qbf)
