@@ -14,24 +14,32 @@ on its fragment, but existence queries run as a product-graph search
 instead of track enumeration, which keeps bounds in the hundreds
 tractable. The test suite cross-validates the two at small bounds.
 
-Every existence query is one breadth-first search, `_steps`, which
-expands each product node on its first visit only. `_exists_from`,
-`_ending_states` and `find_satisfying_track` check acceptance on first
-visits, which finds shortest tracks. The right-extension search checks
-every step: a loop may reach a node again at a length where the child
-accepts although its first visit did not.
+The search walks (state, node) pairs, and nodes hold no Kripke state:
+`start(v)` gives the nodes after reading `v`, `step(node, v, w, t)` reads
+`w` at position t after `v` at t - 1, and `accepts(node, v, t)` judges a
+run whose last state `v` sits at position t. Every existence query is
+one breadth-first search, `_steps`, which expands each pair on its first
+visit only. Start pairs are never marked visited: a pair reached later
+has read a second state, so it is another configuration even when equal.
+`_accepting` yields the pairs accepted at their first visit, which finds
+shortest tracks for `_exists_from`, `_ending_states` and
+`find_satisfying_track`. The right-extension search checks every step: a
+loop may reach a pair again at a length where the child accepts although
+its first visit did not.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .errors import BoundTooSmall, NotInFragment
+from .errors import BoundTooSmall, NotInFragment, ValidationError
 from .logic import And, FormulaTable, Modality, Or, eval_prop, prop_letters
 from .model import KripkeStructure, Track
 
 
 class _PropAuto:
+    """Nodes are the letters true at every state read so far."""
+
     time_sensitive = False
 
     def __init__(self, K, beta):
@@ -40,16 +48,13 @@ class _PropAuto:
         self.pl = prop_letters(beta)
 
     def start(self, v):
-        return ((v, self.K.labels[v] & self.pl, False),)
+        return (self.K.labels[v] & self.pl,)
 
-    def step(self, node, v, t):
-        return ((v, node[1] & self.K.labels[v], True),)
+    def step(self, node, v, w, t):
+        return (node & self.K.labels[w],)
 
-    def accepts(self, node, t):
-        return node[2] and eval_prop(self.beta, node[1])
-
-    def cur(self, node):
-        return node[0]
+    def accepts(self, node, v, t):
+        return t > 1 and eval_prop(self.beta, node)
 
 
 class _UnionAuto:
@@ -60,15 +65,12 @@ class _UnionAuto:
     def start(self, v):
         return tuple((i, n) for i, c in enumerate(self.children) for n in c.start(v))
 
-    def step(self, node, v, t):
+    def step(self, node, v, w, t):
         i, n = node
-        return tuple((i, m) for m in self.children[i].step(n, v, t))
+        return tuple((i, m) for m in self.children[i].step(n, v, w, t))
 
-    def accepts(self, node, t):
-        return self.children[node[0]].accepts(node[1], t)
-
-    def cur(self, node):
-        return self.children[node[0]].cur(node[1])
+    def accepts(self, node, v, t):
+        return self.children[node[0]].accepts(node[1], v, t)
 
 
 class _ProductAuto:
@@ -80,17 +82,14 @@ class _ProductAuto:
     def start(self, v):
         return tuple((a, b) for a in self.left.start(v) for b in self.right.start(v))
 
-    def step(self, node, v, t):
+    def step(self, node, v, w, t):
         a, b = node
-        lefts = self.left.step(a, v, t)
-        rights = self.right.step(b, v, t)
+        lefts = self.left.step(a, v, w, t)
+        rights = self.right.step(b, v, w, t)
         return tuple((a2, b2) for a2 in lefts for b2 in rights)
 
-    def accepts(self, node, t):
-        return self.left.accepts(node[0], t) and self.right.accepts(node[1], t)
-
-    def cur(self, node):
-        return self.left.cur(node[0])
+    def accepts(self, node, v, t):
+        return self.left.accepts(node[0], v, t) and self.right.accepts(node[1], v, t)
 
 
 class _StartedByAuto:
@@ -103,28 +102,25 @@ class _StartedByAuto:
     def start(self, v):
         return tuple(("in", n) for n in self.sub.start(v))
 
-    def step(self, node, v, t):
-        if node[0] == "chase":
-            return (("chase", v),)
+    def step(self, node, v, w, t):
+        if node == "chase":
+            return ("chase",)
         n = node[1]
-        out = [("in", m) for m in self.sub.step(n, v, t)]
-        if self.sub.accepts(n, t - 1):
-            out.append(("chase", v))
+        out = [("in", m) for m in self.sub.step(n, v, w, t)]
+        if self.sub.accepts(n, v, t - 1):
+            out.append("chase")
         return tuple(out)
 
-    def accepts(self, node, t):
-        return node[0] == "chase"
-
-    def cur(self, node):
-        return node[1] if node[0] == "chase" else self.sub.cur(node[1])
+    def accepts(self, node, v, t):
+        return node == "chase"
 
 
 class _FinishedByAuto:
     """Tracks with a proper suffix accepted by the child automaton.
 
-    Sub-run nodes carry the suffix length read so far; when the child is
-    time-insensitive the counter is capped at 2 to keep the node space
-    small.
+    The one skim node, None, reads the prefix; sub-run nodes carry the
+    suffix length read so far. When the child is time-insensitive the
+    counter is capped at 2 to keep the node space small.
     """
 
     def __init__(self, sub):
@@ -132,26 +128,17 @@ class _FinishedByAuto:
         self.time_sensitive = sub.time_sensitive
 
     def start(self, v):
-        # The initial skim node is kept distinct from stepped skim nodes:
-        # search drivers key their visited sets on nodes, and a start node
-        # reachable again via a loop stands for a longer track whose
-        # interior bookkeeping differs.
-        return (("skim0", v),)
+        return (None,)
 
-    def step(self, node, v, t):
-        if node[0] in ("skim", "skim0"):
-            out = [("skim", v)]
-            out.extend(("sub", n, 1) for n in self.sub.start(v))
-            return tuple(out)
-        _, n, s = node
+    def step(self, node, v, w, t):
+        if node is None:
+            return (None, *((n, 1) for n in self.sub.start(w)))
+        n, s = node
         s2 = s + 1 if self.time_sensitive else min(s + 1, 2)
-        return tuple(("sub", m, s2) for m in self.sub.step(n, v, s + 1))
+        return tuple((m, s2) for m in self.sub.step(n, v, w, s + 1))
 
-    def accepts(self, node, t):
-        return node[0] == "sub" and self.sub.accepts(node[1], node[2])
-
-    def cur(self, node):
-        return node[1] if node[0] != "sub" else self.sub.cur(node[1])
+    def accepts(self, node, v, t):
+        return node is not None and self.sub.accepts(node[0], v, node[1])
 
 
 class _MeetsAuto:
@@ -165,16 +152,13 @@ class _MeetsAuto:
         )
 
     def start(self, v):
-        return ((v, False),)
+        return (None,)
 
-    def step(self, node, v, t):
-        return ((v, True),)
+    def step(self, node, v, w, t):
+        return (None,)
 
-    def accepts(self, node, t):
-        return node[1] and node[0] in self.aset
-
-    def cur(self, node):
-        return node[0]
+    def accepts(self, node, v, t):
+        return t > 1 and v in self.aset
 
 
 class _MetByAuto:
@@ -186,16 +170,13 @@ class _MetByAuto:
         self.bset = _ending_states(K, sub, bound)
 
     def start(self, v):
-        return ((v in self.bset, v, False),)
+        return (v in self.bset,)
 
-    def step(self, node, v, t):
-        return ((node[0], v, True),)
+    def step(self, node, v, w, t):
+        return (node,)
 
-    def accepts(self, node, t):
-        return node[0] and node[2]
-
-    def cur(self, node):
-        return node[1]
+    def accepts(self, node, v, t):
+        return t > 1 and node
 
 
 class _RightExtAuto:
@@ -210,28 +191,21 @@ class _RightExtAuto:
         self.K = K
         self.sub = sub
         self.bound = bound
+        self.start = sub.start
+        self.step = sub.step
         self._first: dict = {}
 
-    def start(self, v):
-        return self.sub.start(v)
-
-    def step(self, node, v, t):
-        return self.sub.step(node, v, t)
-
-    def cur(self, node):
-        return self.sub.cur(node)
-
-    def accepts(self, node, t):
+    def accepts(self, node, v, t):
         if t < 2 or self.bound - t < 1:
             return False
         # Without a time-sensitive child the minimal extension length does
         # not depend on the position: one search from position 2 serves
         # every t, and only the remaining budget varies.
         origin = t if self.sub.time_sensitive else 2
-        key = (node, origin)
+        key = (v, node, origin)
         if key not in self._first:
-            steps = _steps(self.K, self.sub, (node,), origin, self.bound)
-            self._first[key] = next((t2 for _, _, m, t2, _ in steps if self.sub.accepts(m, t2)), None)
+            steps = _steps(self.K, self.sub, ((v, node),), origin, self.bound)
+            self._first[key] = next((t2 for _, w, m, t2, _ in steps if self.sub.accepts(m, w, t2)), None)
         first = self._first[key]
         return first is not None and first - origin <= self.bound - t
 
@@ -275,12 +249,12 @@ def accepts_track(auto, rho: Track, bound: int) -> bool:
         raise BoundTooSmall(f"track of length {len(rho)} exceeds bound {bound}")
     frontier = set(auto.start(rho[0]))
     t = 1
-    for v in rho[1:]:
+    for v, w in zip(rho, rho[1:]):
         t += 1
-        frontier = {m for n in frontier for m in auto.step(n, v, t)}
+        frontier = {m for n in frontier for m in auto.step(n, v, w, t)}
         if not frontier:
             return False
-    return any(auto.accepts(n, t) for n in frontier)
+    return any(auto.accepts(n, rho[-1], t) for n in frontier)
 
 
 class _InteriorAuto:
@@ -294,57 +268,63 @@ class _InteriorAuto:
     def start(self, v):
         return tuple((n, frozenset()) for n in self.sub.start(v))
 
-    def step(self, node, v, t):
+    def step(self, node, v, w, t):
         n, iset = node
         # Stepping to position t puts the state at t-1 into the interior,
         # except from the first position.
-        grown = iset if t == 2 else iset | {self.sub.cur(n)}
+        grown = iset if t == 2 else iset | {v}
         if not grown <= self.target:
             return ()
-        return tuple((m, grown) for m in self.sub.step(n, v, t))
+        return tuple((m, grown) for m in self.sub.step(n, v, w, t))
 
-    def accepts(self, node, t):
-        return node[1] == self.target and self.sub.accepts(node[0], t)
-
-    def cur(self, node):
-        return self.sub.cur(node[0])
+    def accepts(self, node, v, t):
+        return node[1] == self.target and self.sub.accepts(node[0], v, t)
 
 
 def _steps(K, auto, frontier, t, bound):
     """Breadth-first search of the product of `K` and `auto` from the
-    nodes in `frontier`, which sit at position `t`. Yields (n, w, m, t2,
-    fresh) for every step from node n over state w to node m at position
-    t2 <= bound; `fresh` marks m's first visit, and only fresh nodes are
-    expanded."""
+    (state, node) pairs in `frontier`, which sit at position `t`. Yields
+    (p, w, m, t2, fresh) for every step from pair p over state w to node m
+    at position t2 <= bound; `fresh` marks the pair (w, m)'s first visit,
+    and only fresh pairs are expanded. The frontier counts as visited
+    unless it holds start pairs (t == 1)."""
     frontier = list(dict.fromkeys(frontier))
-    seen = set(frontier)
+    seen = set(frontier) if t > 1 else set()
     while frontier and t < bound:
         t += 1
         nxt = []
-        for n in frontier:
-            for w in K.successors(auto.cur(n)):
-                for m in auto.step(n, w, t):
-                    fresh = m not in seen
+        for p in frontier:
+            v, n = p
+            for w in K.successors(v):
+                for m in auto.step(n, v, w, t):
+                    q = (w, m)
+                    fresh = q not in seen
                     if fresh:
-                        seen.add(m)
-                        nxt.append(m)
-                    yield n, w, m, t, fresh
+                        seen.add(q)
+                        nxt.append(q)
+                    yield p, w, m, t, fresh
         frontier = nxt
 
 
+def _accepting(K, auto, starts, bound, parents):
+    """The pairs (w, m) accepted at position t on their first visit, as
+    (w, m, t) in breadth-first order. Starts from the pairs (v, n) for
+    each state v in `starts`; records in `parents` the pair each visited
+    pair was first reached from."""
+    frontier = [(v, n) for v in starts for n in auto.start(v)]
+    for p, w, m, t, fresh in _steps(K, auto, frontier, 1, bound):
+        if fresh:
+            parents[w, m] = p
+            if auto.accepts(m, w, t):
+                yield w, m, t
+
+
 def _exists_from(K, auto, v, bound) -> bool:
-    return any(
-        fresh and auto.accepts(m, t) for _, _, m, t, fresh in _steps(K, auto, auto.start(v), 1, bound)
-    )
+    return any(_accepting(K, auto, (v,), bound, {}))
 
 
 def _ending_states(K, auto, bound) -> frozenset:
-    starts = (n for v in sorted(K.states) for n in auto.start(v))
-    return frozenset(
-        auto.cur(m)
-        for _, _, m, t, fresh in _steps(K, auto, starts, 1, bound)
-        if fresh and auto.accepts(m, t)
-    )
+    return frozenset(w for w, _, _ in _accepting(K, auto, sorted(K.states), bound, {}))
 
 
 def find_satisfying_track(
@@ -360,23 +340,22 @@ def find_satisfying_track(
     first state, last state, and exact interior state set. None when no
     such track exists.
     """
+    if interior is not None:
+        interior = frozenset(interior)
+    for s in (first, last, *(interior or ())):
+        if s is not None and s not in K.labels:
+            raise ValidationError("UnknownState", s)
     auto = compile_positive(K, phi, bound)
     if interior is not None:
-        auto = _InteriorAuto(auto, frozenset(interior))
-    starts = (first,) if first is not None else tuple(sorted(K.states))
+        auto = _InteriorAuto(auto, interior)
+    starts = (first,) if first is not None else sorted(K.states)
 
     parents: dict = {}
-    for v in starts:
-        for n in auto.start(v):
-            parents.setdefault(n, (None, v))
-    for n, w, m, t, fresh in _steps(K, auto, list(parents), 1, bound):
-        if not fresh:
-            continue
-        parents[m] = (n, w)
-        if (last is None or auto.cur(m) == last) and auto.accepts(m, t):
-            states = [w]
-            while n is not None:
-                n, v = parents[n]
-                states.append(v)
+    for w, m, t in _accepting(K, auto, starts, bound, parents):
+        if last is None or w == last:
+            pair, states = (w, m), [w]
+            for _ in range(t - 1):  # a start pair reached again has a parent too
+                pair = parents[pair]
+                states.append(pair[0])
             return tuple(reversed(states))
     return None
