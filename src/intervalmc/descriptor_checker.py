@@ -14,16 +14,15 @@ and a leaf is evaluated once per distinct intersection of the labels of an
 element's states, kept as a bitmask over the letters.
 
 States are numbered once per engine, and the interior of each forward
-descriptor element is kept as a bitmask over them. The forward elements of
-a state are indexed by their last state. The `[B]`/`[E]` case finds the
-two parts of a split of d among the elements that end at d's last state,
-filtered once per split to those whose interior lies inside d's, so a
-match is one mask test. One routine serves both modalities, and it decides
-each part once per element: for `<B>` the prefix is settled by its first
-match, for `<E>` a failed suffix leaves its candidate list. `concat_desc`
-confirms the split before each check. The truth of `<A>`/`<~A>` depends
-only on d's last/first state, so it is memoized per (node, endpoint); the
-witness is still a track of d.
+descriptor element is kept as a bitmask over them; the forward elements of
+a state are indexed by (interior mask, last state). `<B>`/`<E>` never split
+d: dropping the last (first) state of a track of d leaves a track of an
+element that this index finds in one lookup, and every track of that
+element extends back to a track of d. One breadth-first search over these
+peels serves both modalities, and a search that finds nothing marks every
+element it reached as failed for its node. The truth of `<A>`/`<~A>`
+depends only on d's last/first state, so it is memoized per (node,
+endpoint); the witness is still a track of d.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .model import (
     DescriptorElement,
     KripkeStructure,
     Track,
-    concat_desc,
+    concat_desc,  # unused; perfbench/tracer.py counts calls through this name
     shortest_witness,
     witnessed_descriptors,
 )
@@ -82,8 +81,7 @@ class _ExistsEngine:
         self._node_ids: dict = {}
         self.root = self._compile(phi)
         self._witnessed: dict = {}
-        self._masked: dict = {}
-        self._by_last: dict = {}
+        self._peels: dict = {}
         self._memo: dict = {}
         # (node, endpoint state) -> truth of an <A>/<~A> node.
         self._adjacent: dict = {}
@@ -119,21 +117,12 @@ class _ExistsEngine:
     def _mask(self, d) -> int:
         return sum(map(self._bit.__getitem__, d.interior))
 
-    def masked(self, v):
-        """`witnessed(v)` as (interior mask, element) pairs, in its order."""
-        out = self._masked.get(v)
+    def peels(self, v):
+        """`witnessed(v)` keyed by (interior mask, last state)."""
+        out = self._peels.get(v)
         if out is None:
-            out = self._masked[v] = [(self._mask(d), d) for d in self.witnessed(v)]
+            out = self._peels[v] = {(self._mask(d), d.v_fin): d for d in self.witnessed(v)}
         return out
-
-    def ending(self, v, last):
-        """The pairs of `masked(v)` whose element ends at `last`."""
-        index = self._by_last.get(v)
-        if index is None:
-            index = self._by_last[v] = {}
-            for pair in self.masked(v):
-                index.setdefault(pair[1].v_fin, []).append(pair)
-        return index.get(last, ())
 
     def realize(self, d) -> Track:
         out = self._witness_cache.get(d)
@@ -180,7 +169,7 @@ class _ExistsEngine:
                 self.stats["adjacent_witnesses"] += 1
                 return True, self.realize(d)
             return False, None
-        return self._split(a, d, kind is Modality.B)
+        return self._peel(node, a, d, kind is Modality.B)
 
     def _leaf(self, node, beta, d) -> bool:
         letters = self._letters
@@ -193,62 +182,40 @@ class _ExistsEngine:
             out = self._leaf_values[key] = val(beta, d, self.K)
         return out
 
-    def _split(self, sub, d, prefix: bool):
-        """`<B> sub` (prefix) or `<E> sub` (suffix) at d. The kept part of a
-        track of d either loses one state, the last (first), or d splits
-        into witnessed x = (d.v_in, _, u) and y = (v, _, d.v_fin) with
-        u -> v, whose join is d; the kept part is x (y). Parts are checked
-        in the canonical split order, each at most once."""
-        a, b = d.v_in, d.v_fin
-        bit, succ = self._bit, self.K.successors
-        target = self._mask(d)
-        failed = set()
-
-        # The dropped state u is the joint: prefix (a, _, u) with u -> b, or
-        # suffix (u, _, b) with a -> u. Each part occurs once here.
-        for u in self.K.predecessors(b) if prefix else succ(a):
-            for m, part in self.ending(a, u) if prefix else self.ending(u, b):
-                if m | bit[u] == target:
-                    ok, wit = self.check(sub, part)
-                    if ok:
-                        return True, wit + (b,) if prefix else (a,) + wit
-                    failed.add(part)
-
-        # v -> the suffixes y ending at b with interior inside d's; for <E>,
-        # those not failed yet.
-        candidates = {}
-        for mx, x in self.masked(a):
-            if mx & ~target:
-                continue
-            base = mx | bit[x.v_fin]
-            decided = prefix and x in failed
-            for v in succ(x.v_fin):
-                ys = candidates.get(v)
-                if ys is None:
-                    # Built before any early exit: descriptors_explored
-                    # counts every state the scan reaches.
-                    ys = candidates[v] = [
-                        (my, y) for my, y in self.ending(v, b)
-                        if not my & ~target and (prefix or y not in failed)
-                    ]
-                joint = base | bit[v]
-                if decided or joint & ~target:
+    def _peel(self, node, sub, d, prefix: bool):
+        """`<B> sub` (prefix) or `<E> sub` at d. Dropping the last (first)
+        state of a track of d = (a, I, b) leaves a track of x = (a, J, u)
+        with u -> b (y = (w, J, b) with a -> w), where u (w) is in I and J
+        is I less u (w) or I; any track of x (y) extends back to a track of
+        d. So the search runs breadth-first over these peels from d, checks
+        `sub` on each element on its first visit (d too, when a peel leads
+        back to it), and adds the peeled states back to the witness it
+        finds."""
+        bit = self._bit
+        parents = {}
+        queue = [(self._mask(d), d)]
+        for mask, y in queue:
+            a, b = y.v_in, y.v_fin
+            for u in self.K.predecessors(b) if prefix else self.K.successors(a):
+                if not mask & bit[u]:
                     continue
-                need = target & ~joint
-                dropped = False
-                for my, y in ys:
-                    if my & need != need or concat_desc(x, y) != d:
+                index = self.peels(a if prefix else u)
+                for m in (mask & ~bit[u], mask):
+                    z = index.get((m, u if prefix else b))
+                    if z is None or z in parents:
                         continue
-                    ok, wit = self.check(sub, x if prefix else y)
+                    parents[z] = y
+                    ok, wit = self.check(sub, z)
                     if ok:
-                        return True, wit + self.realize(y) if prefix else self.realize(x) + wit
-                    if prefix:
-                        decided = True
-                        break
-                    failed.add(y)
-                    dropped = True
-                if dropped:
-                    candidates[v] = [pair for pair in ys if pair[1] not in failed]
+                        while True:
+                            z = parents[z]
+                            wit = wit + (z.v_fin,) if prefix else (z.v_in,) + wit
+                            if z == d:
+                                return True, wit
+                    queue.append((m, z))
+        if self.use_memo:
+            for z in parents:
+                self._memo[(node, z)] = (False, None)
         return False, None
 
 
