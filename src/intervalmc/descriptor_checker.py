@@ -6,23 +6,28 @@ recursion: every nondeterministic choice becomes exhaustive iteration in
 the canonical descriptor order, so verdicts and counterexamples are
 reproducible.
 
-An engine checks one formula, which it compiles once into a node table:
-each maximal propositional subformula becomes a leaf, each disjunction and
-diamond above the leaves an inner node, and equal nodes share one index
-(hash-consing). Results are memoized per (node index, descriptor element),
-and a leaf is evaluated once per distinct intersection of the labels of an
-element's states, kept as a bitmask over the letters.
+An engine checks one formula, which it compiles once over a
+`FormulaTable`: each maximal propositional subformula becomes a leaf,
+compiled by `compile_prop` into a test on letter masks, and each
+disjunction and diamond above the leaves an inner node, with the table's
+node ids as indices, so equal nodes share one. The engine works on the
+structure's state numbering (`KripkeStructure.numbering`): a descriptor
+element is an int triple (first id, interior bitmask, last id), and a
+`DescriptorElement` is built only where one enters or leaves the engine.
+The elements of each state come from one fixpoint (`model._pairs`), which
+also gives each element's label intersection, so a leaf costs one lookup
+and is evaluated once per distinct intersection. Results are memoized
+per (node, element).
 
-States are numbered once per engine, and the interior of each forward
-descriptor element is kept as a bitmask over them; the forward elements of
-a state are indexed by (interior mask, last state). `<B>`/`<E>` never split
-d: dropping the last (first) state of a track of d leaves a track of an
-element that this index finds in one lookup, and every track of that
-element extends back to a track of d. One breadth-first search over these
-peels serves both modalities, and a search that finds nothing marks every
-element it reached as failed for its node. The truth of `<A>`/`<~A>`
-depends only on d's last/first state, so it is memoized per (node,
-endpoint); the witness is still a track of d.
+The forward elements of a state are indexed by (interior mask, last id).
+`<B>`/`<E>` never split d: dropping the last (first) state of a track of
+d leaves a track of an element that this index finds in one lookup, and
+every track of that element extends back to a track of d. One
+breadth-first search over these peels serves both modalities, and a
+search that finds nothing marks every element it reached as failed for
+its node. The truth of `<A>`/`<~A>` depends only on d's last/first
+state, so it is memoized per (node, endpoint); the witness is still a
+track of d.
 """
 
 from __future__ import annotations
@@ -31,14 +36,27 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import NotInFragment, NotWitnessed
-from .logic import Diamond, Modality, Or, classify, is_propositional, negate_to_exists, val
+from .logic import (
+    FormulaTable,
+    Modality,
+    Or,
+    classify,
+    compile_prop,
+    is_propositional,  # unused; perfbench/tracer.py counts calls through this name
+    negate_to_exists,
+    val,  # unused; perfbench/tracer.py counts calls through this name
+)
 from .model import (
     DescriptorElement,
     KripkeStructure,
     Track,
+    _element,
+    _ids_of,
+    _pair_order,
+    _pairs,
     concat_desc,  # unused; perfbench/tracer.py counts calls through this name
     shortest_witness,
-    witnessed_descriptors,
+    witnessed_descriptors,  # unused; perfbench/tracer.py counts calls through this name
 )
 
 
@@ -72,66 +90,81 @@ class _ExistsEngine:
     def __init__(self, K: KripkeStructure, phi, use_memo: bool = True):
         self.K = K
         self.use_memo = use_memo
-        self._bit = {s: 1 << i for i, s in enumerate(K.states)}
-        letter_bit = {p: 1 << i for i, p in enumerate(sorted(K.ap))}
-        self._letters = {s: sum(letter_bit[p] for p in K.labels[s]) for s in K.states}
-        # Node i is (kind, a, b): (_LEAF, formula, None), (_OR, left, right)
-        # or (modality, sub, None), with children as node indices.
-        self._nodes: list = []
-        self._node_ids: dict = {}
-        self.root = self._compile(phi)
+        self._numbering = K.numbering()
+        self._compile(phi)
         self._witnessed: dict = {}
+        # Element -> intersection of the labels of its states, as a mask.
+        self._labels: dict = {}
         self._peels: dict = {}
         self._memo: dict = {}
-        # (node, endpoint state) -> truth of an <A>/<~A> node.
+        # (node, endpoint id) -> truth of an <A>/<~A> node.
         self._adjacent: dict = {}
         self._leaf_values: dict = {}
         self._witness_cache: dict = {}
         self.stats = {"check_calls": 0, "memo_hits": 0, "descriptors_explored": 0, "adjacent_witnesses": 0}
 
-    def _compile(self, phi) -> int:
-        if is_propositional(phi):
-            node = (_LEAF, phi, None)
-        elif isinstance(phi, Or):
-            node = (_OR, self._compile(phi.left), self._compile(phi.right))
-        elif isinstance(phi, Diamond):
-            if phi.mod not in _DIAMONDS:
-                raise NotInFragment(f"modality {phi.mod.text} outside the existential fragment")
-            node = (phi.mod, self._compile(phi.sub), None)
-        else:
-            raise NotInFragment(f"node outside the existential fragment: {phi!r}")
-        index = self._node_ids.get(node)
-        if index is None:
-            index = self._node_ids[node] = len(self._nodes)
-            self._nodes.append(node)
-        return index
+    def _compile(self, phi):
+        """Fill `_nodes`, indexed by table id: (_LEAF, test, None), (_OR,
+        left, right) or (modality, sub, None) for the root and the nodes
+        below it down to the leaves, None elsewhere. A child's id is below
+        its parents', so one pass down the ids reaches every node after its
+        parents; True marks a node reached but not yet compiled."""
+        table = FormulaTable()
+        self.root = table.add(phi)
+        nodes = self._nodes = [None] * len(table.nodes)
+        nodes[self.root] = True
+        for i in range(self.root, -1, -1):
+            if nodes[i] is None:
+                continue
+            kind, a, b = table.nodes[i]
+            if table.prop[i]:
+                nodes[i] = (_LEAF, compile_prop(table.formulas[i], self._numbering.letter_bit), None)
+                continue
+            if kind is Or:
+                nodes[i] = (_OR, a, b)
+                nodes[b] = True
+            elif kind in _DIAMONDS and b:
+                nodes[i] = (kind, a, None)
+            elif isinstance(kind, Modality) and b:
+                raise NotInFragment(f"modality {kind.text} outside the existential fragment")
+            else:
+                raise NotInFragment(f"node outside the existential fragment: {table.formulas[i]!r}")
+            nodes[a] = True
 
-    def witnessed(self, v, direction="forward"):
-        key = (v, direction)
+    def witnessed(self, v: int, forward: bool = True) -> list:
+        """The elements from (to) state id v, in canonical order."""
+        key = (v, forward)
         out = self._witnessed.get(key)
         if out is None:
-            out = self._witnessed[key] = witnessed_descriptors(self.K, v, direction)
+            parents = _pairs(self.K, v, forward)
+            masks = self._numbering.labels
+            # Pair -> intersection of the labels of its interior states.
+            inner = {}
+            for pair, parent in parents.items():
+                inner[pair] = -1 if parent is None else inner[parent] & masks[parent[0]]
+            out = self._witnessed[key] = []
+            for pair in sorted(parents, key=_pair_order):
+                u, mask = pair
+                d = (v, mask, u) if forward else (u, mask, v)
+                self._labels[d] = inner[pair] & masks[v] & masks[u]
+                out.append(d)
             self.stats["descriptors_explored"] += len(out)
         return out
 
-    def _mask(self, d) -> int:
-        return sum(map(self._bit.__getitem__, d.interior))
-
-    def peels(self, v):
-        """`witnessed(v)` keyed by (interior mask, last state)."""
+    def peels(self, v: int) -> dict:
+        """`witnessed(v)` keyed by (interior mask, last id)."""
         out = self._peels.get(v)
         if out is None:
-            out = self._peels[v] = {(self._mask(d), d.v_fin): d for d in self.witnessed(v)}
+            out = self._peels[v] = {(d[1], d[2]): d for d in self.witnessed(v)}
         return out
 
     def realize(self, d) -> Track:
         out = self._witness_cache.get(d)
         if out is None:
-            out = shortest_witness(self.K, d)
-            self._witness_cache[d] = out
+            out = self._witness_cache[d] = shortest_witness(self.K, _element(self.K, *d))
         return out
 
-    def check(self, node: int, d: DescriptorElement):
+    def check(self, node: int, d):
         """(satisfiable?, witness track associated with d or None)."""
         key = (node, d)
         if self.use_memo:
@@ -148,21 +181,23 @@ class _ExistsEngine:
     def _check(self, node, d):
         kind, a, b = self._nodes[node]
         if kind is _LEAF:
-            if self._leaf(node, a, d):
-                return True, self.realize(d)
-            return False, None
+            common = self._labels[d]
+            key = (node, common)
+            ok = self._leaf_values.get(key)
+            if ok is None:
+                ok = self._leaf_values[key] = a(common)
+            return (True, self.realize(d)) if ok else (False, None)
         if kind is _OR:
             ok, wit = self.check(a, d)
             if ok:
                 return ok, wit
             return self.check(b, d)
         if kind is Modality.A or kind is Modality.ABAR:
-            end = d.v_fin if kind is Modality.A else d.v_in
-            key = (node, end)
+            forward = kind is Modality.A
+            key = (node, d[2] if forward else d[0])
             ok = self._adjacent.get(key) if self.use_memo else None
             if ok is None:
-                adjacent = self.witnessed(end, "forward" if kind is Modality.A else "backward")
-                ok = any(self.check(a, adj)[0] for adj in adjacent)
+                ok = any(self.check(a, adj)[0] for adj in self.witnessed(key[1], forward))
                 if self.use_memo:
                     self._adjacent[key] = ok
             if ok:
@@ -170,17 +205,6 @@ class _ExistsEngine:
                 return True, self.realize(d)
             return False, None
         return self._peel(node, a, d, kind is Modality.B)
-
-    def _leaf(self, node, beta, d) -> bool:
-        letters = self._letters
-        common = letters[d.v_in] & letters[d.v_fin]
-        for s in d.interior:
-            common &= letters[s]
-        key = (node, common)
-        out = self._leaf_values.get(key)
-        if out is None:
-            out = self._leaf_values[key] = val(beta, d, self.K)
-        return out
 
     def _peel(self, node, sub, d, prefix: bool):
         """`<B> sub` (prefix) or `<E> sub` at d. Dropping the last (first)
@@ -191,16 +215,17 @@ class _ExistsEngine:
         `sub` on each element on its first visit (d too, when a peel leads
         back to it), and adds the peeled states back to the witness it
         finds."""
-        bit = self._bit
+        names = self._numbering.names
+        step = self._numbering.pred if prefix else self._numbering.succ
         parents = {}
-        queue = [(self._mask(d), d)]
-        for mask, y in queue:
-            a, b = y.v_in, y.v_fin
-            for u in self.K.predecessors(b) if prefix else self.K.successors(a):
-                if not mask & bit[u]:
+        queue = [d]
+        for y in queue:
+            a, mask, b = y
+            for u in step[b] if prefix else step[a]:
+                if not mask >> u & 1:
                     continue
                 index = self.peels(a if prefix else u)
-                for m in (mask & ~bit[u], mask):
+                for m in (mask & ~(1 << u), mask):
                     z = index.get((m, u if prefix else b))
                     if z is None or z in parents:
                         continue
@@ -209,10 +234,10 @@ class _ExistsEngine:
                     if ok:
                         while True:
                             z = parents[z]
-                            wit = wit + (z.v_fin,) if prefix else (z.v_in,) + wit
+                            wit = wit + (names[z[2]],) if prefix else (names[z[0]],) + wit
                             if z == d:
                                 return True, wit
-                    queue.append((m, z))
+                    queue.append(z)
         if self.use_memo:
             for z in parents:
                 self._memo[(node, z)] = (False, None)
@@ -224,13 +249,16 @@ def check_exists(
 ):
     """True (plus a witness track associated with d) iff some track the
     element abstracts satisfies the existential-fragment formula.
+    ValidationError("UnknownState") when d names an undeclared state, and
+    NotWitnessed when no track realizes d.
     """
     if not classify(psi).exists_aabe:
         raise NotInFragment("check_exists expects an ExistsAABE formula")
     engine = _ExistsEngine(K, psi, use_memo=use_memo)
-    if d not in engine.witnessed(d.v_in):
+    first, mask, last = _ids_of(K, d)
+    if (mask, last) not in engine.peels(first):
         raise NotWitnessed(f"descriptor element {d!r} is not witnessed")
-    return engine.check(engine.root, d)
+    return engine.check(engine.root, (first, mask, last))
 
 
 def model_check_univ(K: KripkeStructure, psi, use_memo: bool = True) -> Verdict:
@@ -243,7 +271,7 @@ def model_check_univ(K: KripkeStructure, psi, use_memo: bool = True) -> Verdict:
         raise NotInFragment("model_check_univ expects a ForallAABE formula")
     negated = negate_to_exists(psi)
     engine = _ExistsEngine(K, negated, use_memo=use_memo)
-    for d in engine.witnessed(K.init):
+    for d in engine.witnessed(K.numbering().ids[K.init]):
         ok, wit = engine.check(engine.root, d)
         if ok:
             return Verdict("fails", wit, "descriptor", dict(engine.stats))

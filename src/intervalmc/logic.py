@@ -1,21 +1,23 @@
 """Formula AST and its hash-consed node table (`FormulaTable`), parser,
-desugaring, fragment classification, dualization, and propositional
-evaluation over descriptor elements.
+desugaring, fragment classification, dualization, propositional
+evaluation over descriptor elements, and the compiler of propositional
+formulas into tests on letter bitmasks (`compile_prop`).
 
 Surface syntax (ASCII): letters `[a-zA-Z_][a-zA-Z0-9_]*`, constants
 `true`/`false`, connectives `!`, `&`, `|`, `->` (right-associative), and
 modalities `<A>`, `[A]`, ..., with `~` marking inverses (`<~B>`, `[~A]`).
 Precedence: unary operators bind tightest, then `&`, then `|`, then `->`.
 
-The parser, the printer and desugaring keep explicit stacks, so nesting
-depth costs no recursion; `eval_prop` and `_neg_prop` still recurse.
+The parser, the printer, desugaring and `compile_prop` keep explicit
+stacks, so nesting depth costs no recursion; `eval_prop` and `_neg_prop`
+still recurse.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator
 
 from .errors import NotInFragment, NotPropositional, ParseError, UnknownModality
 from .model import DescriptorElement, KripkeStructure
@@ -98,7 +100,9 @@ class Box:
     sub: "Formula"
 
 
-Formula = Union[Prop, Const, Not, And, Or, Implies, Diamond, Box]
+# A union of classes, not `typing.Union`: typing caches every Union it builds,
+# which would keep each imported copy of this module alive.
+Formula = Prop | Const | Not | And | Or | Implies | Diamond | Box
 
 _BINARY = (And, Or, Implies)
 _MODAL = (Diamond, Box)
@@ -490,3 +494,85 @@ def val(beta: Formula, d: DescriptorElement, K: KripkeStructure) -> bool:
     for s in d.interior:
         letters = letters & K.labels[s]
     return eval_prop(beta, letters)
+
+
+# Negation normal form of a binary node: (is a conjunction, left operand
+# negated, right operand negated), indexed by whether the node is negated.
+_NNF = {
+    And: ((True, False, False), (False, True, True)),
+    Or: ((False, False, False), (True, True, True)),
+    Implies: ((False, True, False), (True, False, True)),
+}
+
+
+def compile_prop(beta: Formula, letter_bit: dict):
+    """Compile a Boolean combination into a test on letter masks: `test(m)`
+    equals `eval_prop(beta, letters)` where `m` sets the bits that
+    `letter_bit` gives the true letters. A letter `letter_bit` lacks reads
+    false.
+
+    One pass with an explicit stack puts `beta` in negation normal form
+    with its and/or chains flattened. Each and/or node keeps its literals
+    as two masks, `pos` and `neg`, and each child that is an or/and of
+    literals only as one `(pos, neg)` test, so a CNF becomes one node with
+    a list of clause tests; any other child is a node of its own. Nodes are
+    listed children first, and the test evaluates them in that order.
+    """
+    spare = 1 << max(letter_bit.values(), default=1).bit_length()
+    program = []
+    # Frames [is_and, pos, neg, tests, kids, operands], with the operands
+    # still to fold in as (formula, negated) pairs.
+    stack = [[True, 0, 0, [], [], [(beta, False)]]]
+    while stack:
+        frame = stack[-1]
+        is_and, operands = frame[0], frame[5]
+        if not operands:
+            stack.pop()
+            _, pos, neg, tests, kids, _ = frame
+            if stack and not tests and not kids:
+                stack[-1][3].append((pos, neg))
+                continue
+            program.append((is_and, pos, neg, tuple(tests), tuple(kids)))
+            if stack:
+                stack[-1][4].append(len(program) - 1)
+            continue
+        f, negated = operands.pop()
+        while type(f) is Not:
+            f, negated = f.sub, not negated
+        kind = type(f)
+        if kind is Prop:
+            frame[2 if negated else 1] |= letter_bit.get(f.name, spare)
+        elif kind is Const:
+            if (f.value != negated) != is_and:
+                # false under a conjunction, true under a disjunction:
+                # a test that never (always) holds.
+                frame[3].append((0, 0))
+        elif kind in _NNF:
+            conj, neg_left, neg_right = _NNF[kind][negated]
+            pair = [(f.left, neg_left), (f.right, neg_right)]
+            if conj is is_and:
+                operands += pair
+            else:
+                stack.append([conj, 0, 0, [], [], pair])
+        else:
+            raise NotPropositional(f"modal node in propositional evaluation: {f!r}")
+
+    def test(m: int) -> bool:
+        done = []
+        for is_and, pos, neg, tests, kids in program:
+            if is_and:
+                done.append(
+                    m & pos == pos
+                    and not m & neg
+                    and all(m & p or ~m & n for p, n in tests)
+                    and all(done[k] for k in kids)
+                )
+            else:
+                done.append(
+                    bool(m & pos or ~m & neg)
+                    or any(m & p == p and not m & n for p, n in tests)
+                    or any(done[k] for k in kids)
+                )
+        return done[-1]
+
+    return test

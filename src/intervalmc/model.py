@@ -4,6 +4,13 @@ A track is represented as a plain tuple of state names (length >= 2 with
 every consecutive pair an edge of the owning structure). Descriptor
 elements abstract a track by its first state, the set of states occurring
 strictly in between, and its last state.
+
+`KripkeStructure.numbering()` numbers the states once, on first use, in
+sorted-name order, so that id order is name order; it holds the label
+masks and the successor and predecessor id lists. The descriptor fixpoint
+`_pairs` runs on these ids, over (endpoint id, interior bitmask) pairs.
+`witnessed_descriptors` and `shortest_witness` convert its result to and
+from state names; the descriptor engine uses it directly.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ class KripkeStructure:
     initial state membership).
     """
 
-    __slots__ = ("ap", "states", "edges", "labels", "init", "_succ", "_pred")
+    __slots__ = ("ap", "states", "edges", "labels", "init", "_succ", "_pred", "_numbering")
 
     def __init__(self, ap, states, edges, labels, init):
         self.ap = frozenset(ap)
@@ -43,6 +50,7 @@ class KripkeStructure:
             pred[b].append(a)
         self._succ = {s: tuple(v) for s, v in succ.items()}
         self._pred = {s: tuple(sorted(v)) for s, v in pred.items()}
+        self._numbering = None
 
     def _validate(self):
         if not self.states:
@@ -78,6 +86,12 @@ class KripkeStructure:
     def label(self, v: str) -> frozenset:
         return self.labels[v]
 
+    def numbering(self) -> Numbering:
+        """The state and letter numbering, built on first use."""
+        if self._numbering is None:
+            self._numbering = Numbering(self)
+        return self._numbering
+
     def __eq__(self, other):
         if not isinstance(other, KripkeStructure):
             return NotImplemented
@@ -96,6 +110,22 @@ class KripkeStructure:
             f"KripkeStructure(states={len(self.states)}, edges={len(self.edges)}, "
             f"init={self.init!r})"
         )
+
+
+class Numbering:
+    """The states of a structure numbered in sorted-name order, and its
+    letters in sorted order, so that comparing ids compares names."""
+
+    __slots__ = ("names", "ids", "letter_bit", "labels", "succ", "pred")
+
+    def __init__(self, K: KripkeStructure):
+        self.names = names = tuple(sorted(K.states))  # id -> state name
+        self.ids = ids = {s: i for i, s in enumerate(names)}
+        self.letter_bit = bit = {p: 1 << i for i, p in enumerate(sorted(K.ap))}
+        self.labels = tuple(sum(bit[p] for p in K.labels[s]) for s in names)  # id -> label mask
+        # id -> successor (predecessor) ids, ascending.
+        self.succ = tuple(tuple(ids[w] for w in K.successors(s)) for s in names)
+        self.pred = tuple(tuple(ids[w] for w in K.predecessors(s)) for s in names)
 
 
 @dataclass(frozen=True)
@@ -147,32 +177,61 @@ def concat_desc(d1: DescriptorElement, d2: DescriptorElement) -> DescriptorEleme
     return DescriptorElement(d1.v_in, frozenset(interior), d2.v_fin)
 
 
-def _pairs(K: KripkeStructure, v: str, forward: bool = True, within=None):
-    """Breadth-first search over (endpoint, interior) pairs from `v`. A pair
-    (u, I) stands for every track from `v` to u (u to `v` backward) whose
-    states strictly between the endpoints form I, and all of them extend
-    alike. Yields each pair on its first visit with the parent map (None
-    for a seed); a pair whose interior grown by u leaves `within` is not
-    extended."""
-    step = K.successors if forward else K.predecessors
-    parents = dict.fromkeys((w, frozenset()) for w in step(v))
+def _pairs(K: KripkeStructure, v: int, forward: bool = True, within: int = -1, target=None) -> dict:
+    """Breadth-first search over (endpoint id, interior mask) pairs from
+    state id `v`. A pair (u, I) stands for every track from `v` to u (u to
+    `v` backward) whose states strictly between the endpoints form I, and
+    all of them extend alike. Returns the parent map (None for a seed) in
+    discovery order; a pair whose interior grown by u leaves `within` is
+    not extended, and the search stops after the level that reaches
+    `target`."""
+    numbering = K.numbering()
+    step = numbering.succ if forward else numbering.pred
+    parents = dict.fromkeys((w, 0) for w in step[v])
     frontier = list(parents)
-    for pair in frontier:
-        yield pair, parents
-    while frontier:
+    while frontier and target not in parents:
         nxt = []
         for pair in frontier:
             u, interior = pair
-            grown = interior | {u}
-            if within is not None and not grown <= within:
+            grown = interior | 1 << u
+            if grown & ~within:
                 continue
-            for w in step(u):
+            for w in step[u]:
                 child = (w, grown)
                 if child not in parents:
                     parents[child] = pair
                     nxt.append(child)
-                    yield child, parents
         frontier = nxt
+    return parents
+
+
+_FLIP = str.maketrans("01", "10")
+
+
+def _pair_order(pair):
+    """Sort key of a pair (endpoint id, interior mask) that orders like
+    (endpoint, sorted tuple of interior ids): reading the mask from bit 0
+    up to its highest set bit, a member reads "0" and a skipped id "1", and
+    a mask that stops first is smaller."""
+    u, mask = pair
+    return u, bin(mask)[:1:-1].translate(_FLIP) if mask else ""
+
+
+def _ids_of(K: KripkeStructure, d: DescriptorElement) -> tuple:
+    """d as (first id, interior mask, last id); UnknownState for a state
+    that `K` does not declare."""
+    ids = K.numbering().ids
+    for s in (d.v_in, d.v_fin, *d.interior):
+        if s not in ids:
+            raise ValidationError("UnknownState", s)
+    return ids[d.v_in], sum(1 << ids[s] for s in d.interior), ids[d.v_fin]
+
+
+def _element(K: KripkeStructure, first: int, mask: int, last: int) -> DescriptorElement:
+    """The `DescriptorElement` of (first id, interior mask, last id)."""
+    names = K.numbering().names
+    interior = frozenset(names[i] for i in range(mask.bit_length()) if mask >> i & 1)
+    return DescriptorElement(names[first], interior, names[last])
 
 
 def witnessed_descriptors(K: KripkeStructure, v: str, direction: str = "forward"):
@@ -187,30 +246,29 @@ def witnessed_descriptors(K: KripkeStructure, v: str, direction: str = "forward"
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
     forward = direction == "forward"
-    found = [
-        DescriptorElement(v, interior, u) if forward else DescriptorElement(u, interior, v)
-        for (u, interior), _ in _pairs(K, v, forward)
-    ]
-    return tuple(sorted(found, key=DescriptorElement.sort_key))
+    first = K.numbering().ids[v]
+    return tuple(
+        _element(K, first, mask, u) if forward else _element(K, u, mask, first)
+        for u, mask in sorted(_pairs(K, first, forward), key=_pair_order)
+    )
 
 
 def shortest_witness(K: KripkeStructure, d: DescriptorElement) -> Track:
     """A shortest track associated with `d`: the first pair (d.v_fin,
     d.interior) that the breadth-first pair search from d.v_in reaches.
     """
-    for s in (d.v_in, d.v_fin, *d.interior):
-        if s not in K.labels:
-            raise ValidationError("UnknownState", s)
-    target = frozenset(d.interior)
-    for pair, parents in _pairs(K, d.v_in, within=target):
-        if pair == (d.v_fin, target):
-            track = []
-            while pair is not None:
-                track.append(pair[0])
-                pair = parents[pair]
-            track.append(d.v_in)
-            return tuple(reversed(track))
-    raise NotWitnessed(f"no track of the structure realizes {d!r}")
+    first, within, last = _ids_of(K, d)
+    pair = (last, within)
+    parents = _pairs(K, first, within=within, target=pair)
+    if pair not in parents:
+        raise NotWitnessed(f"no track of the structure realizes {d!r}")
+    names = K.numbering().names
+    track = []
+    while pair is not None:
+        track.append(names[pair[0]])
+        pair = parents[pair]
+    track.append(d.v_in)
+    return tuple(reversed(track))
 
 
 def enumerate_tracks(

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import time
+
+import pytest
 
 from intervalmc import enumerate_tracks, parse_kripke
 from intervalmc.cli import main
@@ -220,16 +223,32 @@ def test_check_bad_formula_exit_two(kequiv_path, capsys):
 
 
 def test_check_too_deep_formula_exit_two(kequiv_path, capsys):
-    # The descriptor engine and the oracle recurse on the formula; running
-    # out of stack must not exit 1, which reads as `fails`.
+    # The descriptor engine recurses on the modal nodes of the formula and
+    # the oracle on every node; running out of stack must not exit 1, which
+    # reads as `fails`.
     scheduler = kequiv_path.parent / "scheduler.kripke"
-    deep = "!" * 5000 + "r0"
-    for engine, used in (("auto", "descriptor"), ("oracle", "oracle")):
+    cases = (("auto", "descriptor", "[A]" * 5000 + " r0"), ("oracle", "oracle", "!" * 5000 + "r0"))
+    for engine, used, deep in cases:
         argv = ("check", "--model", str(scheduler), "--formula", deep, "--engine", engine)
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err == f"error: formula nested too deeply for the {used} engine\n"
+
+
+def test_check_deep_negation_chain_gets_a_verdict(kequiv_path, capsys):
+    # The descriptor engine compiles its propositional leaves without
+    # recursion, so a 5,000-deep `!` chain is checked like the letter it
+    # reduces to.
+    scheduler = str(kequiv_path.parent / "scheduler.kripke")
+    reports = []
+    for formula in ("!" * 5000 + "r0", "r0"):
+        code, out, _ = run(capsys, "check", "--model", scheduler, "--formula", formula, "--json")
+        report = json.loads(out)
+        del report["stats"]["time_ms"]
+        reports.append((code, report))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 1 and reports[0][1]["engine"] == "descriptor"
 
 
 def test_check_formula_file(kequiv_path, tmp_path, capsys):
@@ -430,6 +449,27 @@ def test_descriptors_listing(kequiv_path, capsys):
     lines = [line for line in out.splitlines() if line.strip()]
     assert len(lines) == 8
     assert all("witness_len=" in line for line in lines)
+
+
+@pytest.mark.parametrize(
+    "direction,lines,first,last,digest",
+    (
+        ("fwd", 268, "(w0, {w0,w1,w2,w3,w4,w5}, w0) witness_len=10", "(w0, {w2,w3,w8}, w9) witness_len=5",
+         "172bc0b8cc4a65f0296bd093d4231a4ca668f4827f93291e4a9427287add3fa5"),
+        ("bwd", 278, "(w0, {w0,w1,w2,w3,w4,w5}, w0) witness_len=10", "(w9, {w0,w2,w4,w5}, w0) witness_len=6",
+         "6d5a179437faea9cbbcb25c3b3b2817285d96c7340cd13a3decb0bf221e30e8a"),
+    ),
+    ids=("fwd", "bwd"),
+)
+def test_descriptors_scheduler_listing_pinned(kequiv_path, capsys, direction, lines, first, last, digest):
+    # The listing in canonical order with each element's shortest witness,
+    # as printed before the descriptor fixpoint moved onto state ids.
+    scheduler = str(kequiv_path.parent / "scheduler.kripke")
+    code, out, _ = run(capsys, "descriptors", "--model", scheduler, "--state", "w0", "--dir", direction)
+    assert code == 0
+    got = out.splitlines()
+    assert (len(got), got[0], got[-1]) == (lines, first, last)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_descriptors_unknown_state(kequiv_path, capsys):

@@ -9,20 +9,22 @@ from intervalmc import (
     is_track,
     witnessed_descriptors,
 )
-from intervalmc import descriptor_checker
 from intervalmc.class_checker import check_ab
 from intervalmc.descriptor_checker import _ExistsEngine, check_exists, model_check_univ
-from intervalmc.errors import NotInFragment, NotWitnessed
+from intervalmc.errors import NotInFragment, NotWitnessed, ValidationError
 from intervalmc.logic import (
     And,
     Box,
     Diamond,
     Modality,
+    Or,
     Prop,
     desugar,
+    is_propositional,
     modal_count,
     negate_to_exists,
     parse_formula,
+    val,
 )
 from intervalmc.model import concat_desc, shortest_witness
 from intervalmc.oracle import default_bound
@@ -66,6 +68,23 @@ def test_check_exists_requires_witnessed(kequiv):
     K, _ = build_sat_instance(CnfFormula(1, ()))
     with pytest.raises(NotWitnessed):
         check_exists(K, parse_formula("x1"), desc("w1_T", (), "w0"))
+
+
+def test_check_exists_rejects_undeclared_states(kequiv):
+    for d in (desc("vX", (), "v0"), desc("v0", (), "vX"), desc("v0", ("v1", "vX"), "v0")):
+        with pytest.raises(ValidationError) as err:
+            check_exists(kequiv, parse_formula("p"), d)
+        assert err.value.reason == "UnknownState"
+        assert err.value.subject == "vX"
+
+
+def test_check_exists_rejects_unreachable_interior():
+    # w0 -> w1_T -> w1_T: no track from w0 back to w0 exists, and none
+    # from w1_T passes w0.
+    K, _ = build_sat_instance(CnfFormula(1, ()))
+    for d in (desc("w0", ("w1_T",), "w0"), desc("w1_T", ("w0",), "w1_T")):
+        with pytest.raises(NotWitnessed):
+            check_exists(K, parse_formula("x1"), d)
 
 
 def test_check_exists_requires_fragment(kequiv):
@@ -364,115 +383,167 @@ def test_split_agrees_with_brute_force_scan():
     assert by_split >= 40
 
 
-class _PlainScanEngine(_ExistsEngine):
-    """The engine with the `[B]`/`[E]` case that the peel search replaced:
-    a scan of the splits of d into witnessed parts x -> y, checked in the
-    canonical split order over an index of the forward elements by last
-    state, each split confirmed by `concat_desc`."""
+class _ParentEngine:
+    """The engine as it was on `DescriptorElement`s, named states and leaves
+    evaluated by `val`, before it moved onto the structure's state
+    numbering and compiled leaves. The search order, the memo and the
+    counters are the same, so every report must be too."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._masked = {}
-        self._by_last = {}
+    def __init__(self, K, phi, use_memo=True):
+        self.K = K
+        self.use_memo = use_memo
+        self._bit = {s: 1 << i for i, s in enumerate(K.states)}
+        letter_bit = {p: 1 << i for i, p in enumerate(sorted(K.ap))}
+        self._letters = {s: sum(letter_bit[p] for p in K.labels[s]) for s in K.states}
+        self._nodes = []
+        self._node_ids = {}
+        self.root = self._compile(phi)
+        self._witnessed = {}
+        self._peels = {}
+        self._memo = {}
+        self._adjacent = {}
+        self._leaf_values = {}
+        self._witness_cache = {}
+        self.stats = {"check_calls": 0, "memo_hits": 0, "descriptors_explored": 0, "adjacent_witnesses": 0}
 
-    def masked(self, v):
-        out = self._masked.get(v)
+    def _compile(self, phi):
+        if is_propositional(phi):
+            node = ("leaf", phi, None)
+        elif isinstance(phi, Or):
+            node = ("or", self._compile(phi.left), self._compile(phi.right))
+        else:
+            node = (phi.mod, self._compile(phi.sub), None)
+        index = self._node_ids.get(node)
+        if index is None:
+            index = self._node_ids[node] = len(self._nodes)
+            self._nodes.append(node)
+        return index
+
+    def witnessed(self, v, direction="forward"):
+        key = (v, direction)
+        out = self._witnessed.get(key)
         if out is None:
-            out = self._masked[v] = [(self._mask(d), d) for d in self.witnessed(v)]
+            # Sorted here, so the order does not rest on the engine's sort key.
+            found = witnessed_descriptors(self.K, v, direction)
+            out = self._witnessed[key] = sorted(found, key=DescriptorElement.sort_key)
+            self.stats["descriptors_explored"] += len(out)
         return out
 
-    def ending(self, v, last):
-        index = self._by_last.get(v)
-        if index is None:
-            index = self._by_last[v] = {}
-            for pair in self.masked(v):
-                index.setdefault(pair[1].v_fin, []).append(pair)
-        return index.get(last, ())
+    def _mask(self, d):
+        return sum(map(self._bit.__getitem__, d.interior))
+
+    def peels(self, v):
+        out = self._peels.get(v)
+        if out is None:
+            out = self._peels[v] = {(self._mask(d), d.v_fin): d for d in self.witnessed(v)}
+        return out
+
+    def realize(self, d):
+        out = self._witness_cache.get(d)
+        if out is None:
+            out = self._witness_cache[d] = shortest_witness(self.K, d)
+        return out
+
+    def check(self, node, d):
+        key = (node, d)
+        if self.use_memo:
+            out = self._memo.get(key)
+            if out is not None:
+                self.stats["memo_hits"] += 1
+                return out
+        self.stats["check_calls"] += 1
+        out = self._check(node, d)
+        if self.use_memo:
+            self._memo[key] = out
+        return out
+
+    def _check(self, node, d):
+        kind, a, b = self._nodes[node]
+        if kind == "leaf":
+            letters = self._letters
+            common = letters[d.v_in] & letters[d.v_fin]
+            for s in d.interior:
+                common &= letters[s]
+            key = (node, common)
+            ok = self._leaf_values.get(key)
+            if ok is None:
+                ok = self._leaf_values[key] = val(a, d, self.K)
+            return (True, self.realize(d)) if ok else (False, None)
+        if kind == "or":
+            ok, wit = self.check(a, d)
+            if ok:
+                return ok, wit
+            return self.check(b, d)
+        if kind is Modality.A or kind is Modality.ABAR:
+            end = d.v_fin if kind is Modality.A else d.v_in
+            key = (node, end)
+            ok = self._adjacent.get(key) if self.use_memo else None
+            if ok is None:
+                adjacent = self.witnessed(end, "forward" if kind is Modality.A else "backward")
+                ok = any(self.check(a, adj)[0] for adj in adjacent)
+                if self.use_memo:
+                    self._adjacent[key] = ok
+            if ok:
+                self.stats["adjacent_witnesses"] += 1
+                return True, self.realize(d)
+            return False, None
+        return self._peel(node, a, d, kind is Modality.B)
 
     def _peel(self, node, sub, d, prefix):
-        a, b = d.v_in, d.v_fin
-        bit, succ = self._bit, self.K.successors
-        target = self._mask(d)
-        failed = set()
-
-        for u in self.K.predecessors(b) if prefix else succ(a):
-            for m, part in self.ending(a, u) if prefix else self.ending(u, b):
-                if m | bit[u] == target:
-                    ok, wit = self.check(sub, part)
-                    if ok:
-                        return True, wit + (b,) if prefix else (a,) + wit
-                    failed.add(part)
-
-        candidates = {}
-        for mx, x in self.masked(a):
-            if mx & ~target:
-                continue
-            base = mx | bit[x.v_fin]
-            decided = prefix and x in failed
-            for v in succ(x.v_fin):
-                ys = candidates.get(v)
-                if ys is None:
-                    ys = candidates[v] = [
-                        (my, y) for my, y in self.ending(v, b)
-                        if not my & ~target and (prefix or y not in failed)
-                    ]
-                joint = base | bit[v]
-                if decided or joint & ~target:
+        bit = self._bit
+        parents = {}
+        queue = [(self._mask(d), d)]
+        for mask, y in queue:
+            a, b = y.v_in, y.v_fin
+            for u in self.K.predecessors(b) if prefix else self.K.successors(a):
+                if not mask & bit[u]:
                     continue
-                need = target & ~joint
-                dropped = False
-                for my, y in ys:
-                    if my & need != need or concat_desc(x, y) != d:
+                index = self.peels(a if prefix else u)
+                for m in (mask & ~bit[u], mask):
+                    z = index.get((m, u if prefix else b))
+                    if z is None or z in parents:
                         continue
-                    ok, wit = self.check(sub, x if prefix else y)
+                    parents[z] = y
+                    ok, wit = self.check(sub, z)
                     if ok:
-                        return True, wit + self.realize(y) if prefix else self.realize(x) + wit
-                    if prefix:
-                        decided = True
-                        break
-                    failed.add(y)
-                    dropped = True
-                if dropped:
-                    candidates[v] = [pair for pair in ys if pair[1] not in failed]
+                        while True:
+                            z = parents[z]
+                            wit = wit + (z.v_fin,) if prefix else (z.v_in,) + wit
+                            if z == d:
+                                return True, wit
+                    queue.append((m, z))
+        if self.use_memo:
+            for z in parents:
+                self._memo[(node, z)] = (False, None)
         return False, None
 
 
-def test_split_scan_matches_parent_reference(monkeypatch):
-    # Same verdict as the split scan, with a counterexample that is an
-    # initial track satisfying the dual and no longer than the scan's.
-    rng = rng_for("split-plain")
-    cases = []
+def _parent_check_univ(K, psi, use_memo):
+    engine = _ParentEngine(K, negate_to_exists(psi), use_memo=use_memo)
+    for d in engine.witnessed(K.init):
+        ok, wit = engine.check(engine.root, d)
+        if ok:
+            return "fails", wit, engine.stats
+    return "holds", None, engine.stats
+
+
+def test_engine_matches_parent_reference():
+    # Same verdict, counterexample and counters as the engine on
+    # `DescriptorElement`s, with and without the memo on small structures.
+    rng = rng_for("engine-parent")
+    fails = runs = 0
     for _ in range(240):
         K = random_kripke(rng, min_states=2, max_states=6)
         psi = desugar(random_forall_formula(rng, ("p", "q"), modal_budget=4))
         # Without the memo the search grows exponentially with the states
-        # and the modal depth: two 3-state checks with 4 modal nodes take
-        # most of a second.
-        cases.append((K, psi, len(K.states) <= 3 and modal_count(psi) <= 3))
-
-    def run():
-        out = []
-        for K, psi, small in cases:
-            for use_memo in (True, False) if small else (True,):
-                out.append((K, psi, model_check_univ(K, psi, use_memo=use_memo)))
-        return out
-
-    got = run()
-    monkeypatch.setattr(descriptor_checker, "_ExistsEngine", _PlainScanEngine)
-    want = run()
-    fails = 0
-    for (K, psi, new), (_, _, old) in zip(got, want):
-        assert new.result == old.result
-        if old.result == "holds":
-            continue
-        fails += 1
-        ce = new.counterexample
-        assert is_track(K, ce) and ce[0] == K.init
-        assert len(ce) <= len(old.counterexample)
-        negated = negate_to_exists(psi)
-        bound = max(default_bound(K, negated), len(ce))
-        assert accepts_track(compile_positive(K, negated, bound), ce, bound)
-    assert 0 < fails < len(got)
+        # and the modal depth.
+        small = len(K.states) <= 3 and modal_count(psi) <= 3
+        for use_memo in (True, False) if small else (True,):
+            verdict = model_check_univ(K, psi, use_memo=use_memo)
+            assert (verdict.result, verdict.counterexample, verdict.stats) == _parent_check_univ(K, psi, use_memo)
+            fails += verdict.result == "fails"
+            runs += 1
+    assert 0 < fails < runs
 
 
 def test_peel_reaches_its_own_element():
@@ -507,7 +578,7 @@ def _random_adjacent_formula(rng, depth=3):
 
 def _run_engine(K, psi, use_memo):
     engine = _ExistsEngine(K, negate_to_exists(psi), use_memo=use_memo)
-    for d in engine.witnessed(K.init):
+    for d in engine.witnessed(K.numbering().ids[K.init]):
         ok, wit = engine.check(engine.root, d)
         if ok:
             return engine, ("fails", wit)

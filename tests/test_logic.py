@@ -14,6 +14,7 @@ from intervalmc.logic import (
     Prop,
     TRUE,
     classify,
+    compile_prop,
     desugar,
     eval_prop,
     formula_size,
@@ -225,6 +226,56 @@ def test_val_matches_track_label_evaluation():
         rho = random_track(rng, K, rng.randint(2, 8))
         beta = random_beta(rng, ("p", "q", "r"))
         assert val(beta, descriptor_of(rho), K) == eval_prop(beta, track_label(K, rho))
+
+
+def _random_prop(rng, letters, depth):
+    # Every connective and both constants, over letters some of which the
+    # structure lacks.
+    if depth == 0 or rng.random() < 0.3:
+        r = rng.random()
+        return Prop(rng.choice(letters)) if r < 0.8 else TRUE if r < 0.9 else FALSE
+    node = rng.choice((Not, And, Or, Implies))
+    if node is Not:
+        return Not(_random_prop(rng, letters, depth - 1))
+    return node(_random_prop(rng, letters, depth - 1), _random_prop(rng, letters, depth - 1))
+
+
+def _label_masks(K):
+    bit = K.numbering().letter_bit
+    masks = [0]
+    for p in bit.values():
+        masks += [m | p for m in masks]
+    return bit, masks
+
+
+def test_compiled_leaf_matches_eval_prop():
+    rng = rng_for("compile-prop")
+    K = random_kripke(rng, letters=("p", "q", "r"))
+    bit, masks = _label_masks(K)
+    for _ in range(1500):
+        beta = _random_prop(rng, ("p", "q", "r", "x"), rng.randint(0, 6))
+        test = compile_prop(beta, bit)
+        for m in masks:
+            letters = {p for p, b in bit.items() if m & b}
+            assert test(m) == eval_prop(beta, letters), (to_text(beta), sorted(letters))
+
+
+def test_compiled_leaf_takes_any_depth():
+    bit = {"p": 1, "q": 2, "r": 4}
+    chain = Prop("p")
+    for _ in range(5000):
+        chain = Not(chain)
+    test = compile_prop(chain, bit)
+    assert [test(m) for m in range(8)] == [bool(m & 1) for m in range(8)]
+    # r & (q | (r & (q | ... (q | p)))), 2,000 alternations deep, which is
+    # r & (q | p).
+    alternating = Prop("p")
+    for i in range(2000):
+        alternating = (And if i % 2 else Or)(Prop("r" if i % 2 else "q"), alternating)
+    test = compile_prop(alternating, bit)
+    assert [test(m) for m in range(8)] == [m >= 4 and m & 3 > 0 for m in range(8)]
+    with pytest.raises(NotPropositional):
+        compile_prop(And(Prop("p"), Diamond(Modality.A, Prop("q"))), bit)
 
 
 def test_modal_count():
