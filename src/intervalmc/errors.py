@@ -31,8 +31,10 @@ class ValidationError(IntervalMCError):
     """A structurally well-formed model violates a structure invariant.
 
     `reason` is one of: NotLeftTotal, UnknownState, UnknownProposition,
-    MissingInit, DuplicateState. `subject` names the offending state or
-    proposition when there is one.
+    MissingInit, DuplicateState, NotATrack (a state sequence given as a
+    track of a structure has fewer than two states or a step that is not
+    an edge). `subject` names the offending state or proposition when
+    there is one.
     """
 
     def __init__(self, reason, subject=None, message=None):

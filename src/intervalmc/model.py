@@ -150,12 +150,30 @@ class DescriptorElement:
 
 def is_track(K: KripkeStructure, seq: Iterable[str]) -> bool:
     """True when `seq` is a valid track of `K` (length >= 2, edges respected)."""
+    try:
+        check_track(K, seq)
+    except ValidationError:
+        return False
+    return True
+
+
+def check_track(K: KripkeStructure, seq: Iterable[str]) -> Track:
+    """`seq` as a tuple once it is known to be a track of `K`.
+
+    ValidationError("UnknownState", s) for an undeclared state s, else
+    ValidationError("NotATrack") for fewer than two states or a step that
+    is not an edge.
+    """
     t = tuple(seq)
+    for s in t:
+        if s not in K.labels:
+            raise ValidationError("UnknownState", s)
     if len(t) < 2:
-        return False
-    if any(s not in K.labels for s in t):
-        return False
-    return all((a, b) in K.edges for a, b in zip(t, t[1:]))
+        raise ValidationError("NotATrack", message=f"a track has at least 2 states, not {len(t)}")
+    for a, b in zip(t, t[1:]):
+        if (a, b) not in K.edges:
+            raise ValidationError("NotATrack", message=f"no edge {a} -> {b}")
+    return t
 
 
 def track_label(K: KripkeStructure, rho: Iterable[str]) -> frozenset:

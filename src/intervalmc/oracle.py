@@ -4,23 +4,31 @@ Every quantifier ranges over tracks of length at most the bound, the bound
 applying uniformly to nested quantifiers as well. For existential-fragment
 formulas a bounded `true` is exact; for universal-fragment formulas a
 bounded `false` is exact. The implementation favours being obviously
-correct over speed: but for the two shortcuts below, it enumerates
-quantified tracks outright, and it is only meant for small bounds.
-`tracknfa` provides the scalable counterpart for the positive diamond
-fragment.
+correct over speed: but for the shortcuts below, it enumerates quantified
+tracks outright, and it is only meant for small bounds. `tracknfa`
+provides the scalable counterpart for the positive diamond fragment.
 
 An evaluator adds each formula it sees to one `logic.FormulaTable`, whose
 hash-consed nodes `(kind, a, b)` it evaluates. A node with the same value
-on every track (see `compile`) is answered at once. Every other node has
-its own memo keyed by the track, or by the last (`<A>`) or first (`<~A>`)
-state, on which alone those two depend. `<B>` ranges over prefixes, `<E>`
-over suffixes, and the other four modalities over extensions up to the
-bound, produced by one depth-first walker for both directions.
+on every track (see `compile`) is answered at once. Every other node
+records which of a track's features its value depends on: the first
+state, the last state, the length, or the whole track. A letter depends
+on the whole track, `<A>` on the last state, `<~A>` on the first, a
+Boolean node on what its operands depend on, and `<B>`, `<E>`, `<~B>` and
+`<~E>` on the features their domain and operand leave free (see
+`_modal_deps`). Each node has its own memo keyed by that projection of the
+track. `<B>` ranges over prefixes, `<E>` over suffixes, and the other four
+modalities over extensions up to the bound: all of them, depth first,
+when the operand depends on the whole track, and otherwise one per state
+at the moving end (and per length, when the operand depends on it),
+breadth first.
 
 `model_check_bounded` evaluates every initial track, except for a root
-that depends on the endpoints alone: on initial tracks that is the last
-state, so it decides such a root once per reachable last state and
-enumerates tracks only to find the first failing one.
+that does not depend on the whole track. On initial tracks the first state
+is fixed, so it decides such a root once per reachable (last state,
+length), or once per reachable last state when the length does not
+matter. It then finds the first failing track in enumeration order, and
+its position, by counting tracks instead of enumerating them.
 """
 
 from __future__ import annotations
@@ -31,9 +39,14 @@ from typing import Optional
 from . import logic
 from .errors import BoundTooSmall
 from .logic import And, Const, Implies, Modality, Not, Or, Prop
-from .model import KripkeStructure, Track, enumerate_tracks, track_label
+from .model import KripkeStructure, Track, check_track, enumerate_tracks, track_label
 
 _A, _ABAR, _B, _E, _BBAR = Modality.A, Modality.ABAR, Modality.B, Modality.E, Modality.BBAR
+
+# The track features a node's value can depend on, as bits. TRACK (the
+# whole track) holds every bit, so that it absorbs the others under `|`.
+FIRST, LAST, LENGTH = 1, 2, 4
+TRACK = 15
 
 
 @dataclass(frozen=True)
@@ -68,42 +81,46 @@ class BoundedEvaluator:
         self._table = logic.FormulaTable()
         self._nodes = self._table.nodes
         self._memo: list = []
-        # Per node (see `compile`): its fixed value or None; whether it
-        # depends on the endpoints alone.
+        # Per node (see `compile`): its fixed value or None; the features
+        # of a track its value depends on.
         self.fixed: list = []
-        self.endpoint: list = []
+        self.deps: list = []
 
     def compile(self, phi) -> int:
         """Node id of `phi`, adding it and its subformulas on first use.
 
         A node is fixed when it is a constant, a Boolean node whose fixed
         operands decide it, `[X]` over a fixed-true or `<X>` over a
-        fixed-false operand. It depends on the endpoints alone when it is
-        fixed, `<A>`/`<~A>`, or a Boolean node over such nodes."""
+        fixed-false operand; it then depends on nothing. Otherwise it
+        depends on the whole track if it is a letter, on the union of its
+        operands' features if it is a Boolean node, and on what
+        `_modal_deps` gives if it is a modal node."""
         root = self._table.add(phi)
         # Per formula, not per new node: a refused formula leaves its nodes.
         if not self._table.desugared[root]:
             raise ValueError("bounded evaluation expects a desugared formula")
-        fixed, endpoint = self.fixed, self.endpoint
+        fixed, deps = self.fixed, self.deps
         for kind, a, b in self._nodes[len(self._memo) :]:
             self._memo.append({})
             if kind is Const:
-                f, e = a, True
+                f, d = a, 0
             elif kind is Prop:
-                f, e = None, False
+                f, d = None, TRACK
             elif isinstance(kind, Modality):
                 # Also on an empty domain, which is why `<X> true` is not fixed.
                 f = fixed[a] if fixed[a] is (not b) else None
-                e = kind is _A or kind is _ABAR
+                d = _modal_deps(kind, deps[a])
             else:
                 f = _fold(kind, fixed[a], None if kind is Not else fixed[b])
-                e = endpoint[a] and (kind is Not or endpoint[b])
+                d = deps[a] | (0 if kind is Not else deps[b])
             fixed.append(f)
-            endpoint.append(e or f is not None)
+            deps.append(0 if f is not None else d)
         return root
 
     def eval(self, rho: Track, phi) -> bool:
-        rho = tuple(rho)
+        """Truth of `phi` on `rho`. ValidationError when `rho` is not a
+        track of the structure (see `model.check_track`)."""
+        rho = check_track(self.K, rho)
         if len(rho) > self.bound:
             raise BoundTooSmall(f"track of length {len(rho)} exceeds bound {self.bound}")
         return self._value(self.compile(phi), rho)
@@ -114,7 +131,8 @@ class BoundedEvaluator:
         if out is not None:
             return out
         kind, a, b = self._nodes[i]
-        key = rho[-1] if kind is _A else rho[0] if kind is _ABAR else rho
+        dep = self.deps[i]
+        key = rho if dep == TRACK else rho[-1] if dep == LAST else rho[0] if dep == FIRST else _project(dep, rho)
         memo = self._memo[i]
         out = memo.get(key)
         if out is not None:
@@ -134,10 +152,11 @@ class BoundedEvaluator:
                 domain = (rho[:j] for j in range(2, len(rho)))
             elif kind is _E:
                 domain = (rho[j:] for j in range(1, len(rho) - 1))
-            elif kind is _A or kind is _ABAR:
-                domain = self._walk((key,), kind is _A)
             else:
-                domain = self._walk(rho, kind is _BBAR)
+                forward = kind is _A or kind is _BBAR
+                t = (rho[-1],) if kind is _A else (rho[0],) if kind is _ABAR else rho
+                sub = self.deps[a]
+                domain = self._walk(t, forward) if sub == TRACK else self._reach(t, forward, sub & LENGTH)
             out = not b
             for t in domain:
                 if self._value(a, t) == b:
@@ -165,6 +184,62 @@ class BoundedEvaluator:
             t = stack.pop()
             yield t
 
+    def _reach(self, track, forward: bool, by_length):
+        """The extensions of `_walk`, but only the first, breadth first, to
+        end in each state at the moving end, or in each such state at each
+        length if `by_length`. Every extension shares the fixed end with
+        `track`, so these cover every value of an operand that does not
+        depend on the whole track."""
+        step = self.K.successors if forward else self.K.predecessors
+        seen, layer = set(), [track]
+        for _ in range(self.bound - len(track)):
+            if by_length:
+                seen = set()
+            nxt = []
+            for t in layer:
+                for w in step(t[-1] if forward else t[0]):
+                    if w not in seen:
+                        seen.add(w)
+                        u = t + (w,) if forward else (w,) + t
+                        nxt.append(u)
+                        yield u
+            if not nxt:
+                return
+            layer = nxt
+
+
+def _modal_deps(kind, sub: int) -> int:
+    """Features a modal node depends on, given those its operand does.
+
+    `<A>` ranges over the tracks from the last state and `<~A>` over those
+    to the first. A prefix keeps the first state and a suffix the last, so
+    `<B>` over an operand of at most the first state and the length
+    depends on that and the length; `<E>` mirrors it. An extension to the
+    right keeps the first state and reaches what the last state and the
+    length allow, so `<~B>` over an operand short of the whole track
+    depends on those two and on the first state if the operand does;
+    `<~E>` mirrors it."""
+    if kind is _A:
+        return LAST
+    if kind is _ABAR:
+        return FIRST
+    if kind is _B or kind is _E:
+        kept = FIRST if kind is _B else LAST
+        return TRACK if sub & ~(kept | LENGTH) else sub | LENGTH
+    if sub == TRACK:
+        return TRACK
+    kept, moving = (FIRST, LAST) if kind is _BBAR else (LAST, FIRST)
+    return moving | LENGTH | (sub & kept)
+
+
+def _project(dep: int, rho: Track):
+    """Memo key of a track for a node depending on `dep` (not TRACK)."""
+    return (
+        rho[0] if dep & FIRST else None,
+        rho[-1] if dep & LAST else None,
+        len(rho) if dep & LENGTH else None,
+    )
+
 
 def _fold(kind, x, y):
     """Value of a Boolean node from its operands' fixed values (None when
@@ -185,43 +260,72 @@ def eval_bounded(K: KripkeStructure, rho: Track, phi, bound: int) -> bool:
 
 def model_check_bounded(K: KripkeStructure, phi, bound: int) -> BoundedVerdict:
     """Conjunction of the bounded evaluation over all initial tracks of
-    length at most the bound.
+    length at most the bound, with the first failing one in
+    `enumerate_tracks` order.
     """
     ev = BoundedEvaluator(K, bound)
     root = ev.compile(phi)
-    endpoint = ev.endpoint[root]
-    if endpoint:
-        count, tracks = _by_last_state(K, bound)
-        failing = {w for w, rho in tracks.items() if not ev._value(root, rho)}
-        if not failing:
-            return BoundedVerdict(True, bound, None, count)
-    count = 0
-    for rho in enumerate_tracks(K, bound, start=K.init):
-        count += 1
-        if (rho[-1] in failing) if endpoint else not ev._value(root, rho):
-            return BoundedVerdict(False, bound, rho, count)
-    return BoundedVerdict(True, bound, None, count)
+    dep = ev.deps[root]
+    if dep == TRACK:
+        count = 0
+        for rho in enumerate_tracks(K, bound, start=K.init):
+            count += 1
+            if not ev._value(root, rho):
+                return BoundedVerdict(False, bound, rho, count)
+        return BoundedVerdict(True, bound, None, count)
+    # The first state is K.init on every initial track, so one track per
+    # reachable last state (and length) decides the root; failures are
+    # gathered at the shortest length that has one.
+    failing, length = set(), 0
+    for rho in ev._reach((K.init,), True, dep & LENGTH):
+        if failing and len(rho) > length:
+            break
+        if not ev._value(root, rho):
+            failing.add(rho[-1])
+            length = len(rho)
+    if not failing:
+        return BoundedVerdict(True, bound, None, _count(K, bound))
+    return BoundedVerdict(False, bound, *_first_track(K, length, failing))
 
 
-def _by_last_state(K: KripkeStructure, bound: int):
-    """(number of initial tracks up to the bound, saturating at MAX_COUNT;
-    a shortest initial track to each last state they reach), breadth first
-    over the number of tracks of each length per last state. Stops early
-    once the count is saturated and a step reaches no new last state: no
-    later step can then reach one either."""
-    total, tracks = 0, {}
-    layer = {K.init: 1}
-    for _ in range(bound - 1):
+def _count(K: KripkeStructure, length: int) -> int:
+    """Number of initial tracks of at most `length` states, saturating at
+    MAX_COUNT, from the number of tracks of each length per last state.
+    Stops once saturated."""
+    total, layer = 0, {K.init: 1}
+    for _ in range(length - 1):
+        if total == MAX_COUNT:
+            break
         nxt: dict = {}
-        seen = len(tracks)
         for v, n in layer.items():
-            prefix = tracks.get(v, (v,))
             for w in K.successors(v):
                 nxt[w] = min(nxt.get(w, 0) + n, MAX_COUNT)
-                if w not in tracks:
-                    tracks[w] = prefix + (w,)
         total = min(total + sum(nxt.values()), MAX_COUNT)
-        if total == MAX_COUNT and len(tracks) == seen:
-            break
         layer = nxt
-    return total, tracks
+    return total
+
+
+def _first_track(K: KripkeStructure, length: int, ends) -> tuple[Track, int]:
+    """The first initial track of `length` states that ends in `ends`, in
+    `enumerate_tracks` order, and its 1-based position in that order
+    (saturating at MAX_COUNT).
+
+    The walk takes, at each step, the first successor in name order from
+    which `ends` is reachable in exactly the steps left. The position
+    counts the shorter initial tracks and the continuations of every
+    successor the walk passes over."""
+    # reach[k]: states from which `ends` is reachable in exactly k steps;
+    # walks[k][v]: number of walks of k steps from v.
+    reach, walks = [set(ends)], [dict.fromkeys(K.states, 1)]
+    for _ in range(length - 2):
+        reach.append({u for w in reach[-1] for u in K.predecessors(w)})
+        prev = walks[-1]
+        walks.append({v: min(sum(prev[w] for w in K.successors(v)), MAX_COUNT) for v in K.states})
+    track, position = (K.init,), 1 + sum(walks[k][K.init] for k in range(1, length - 1))
+    for k in reversed(range(length - 1)):
+        for w in K.successors(track[-1]):
+            if w in reach[k]:
+                break
+            position += walks[k][w]
+        track += (w,)
+    return track, min(position, MAX_COUNT)

@@ -25,7 +25,8 @@ has read a second state, so it is another configuration even when equal.
 shortest tracks for `_exists_from`, `_ending_states` and
 `find_satisfying_track`. The right-extension search checks every step: a
 loop may reach a pair again at a length where the child accepts although
-its first visit did not.
+its first visit did not. Every automaton keeps the structure it reads as
+`K`, so that `accepts_track` refuses a sequence that is not a track of it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Optional
 
 from .errors import BoundTooSmall, NotInFragment, ValidationError
 from .logic import And, FormulaTable, Modality, Or, eval_prop, prop_letters
-from .model import KripkeStructure, Track
+from .model import KripkeStructure, Track, check_track
 
 
 class _PropAuto:
@@ -59,6 +60,7 @@ class _PropAuto:
 
 class _UnionAuto:
     def __init__(self, left, right):
+        self.K = left.K
         self.children = (left, right)
         self.time_sensitive = left.time_sensitive or right.time_sensitive
 
@@ -75,6 +77,7 @@ class _UnionAuto:
 
 class _ProductAuto:
     def __init__(self, left, right):
+        self.K = left.K
         self.left = left
         self.right = right
         self.time_sensitive = left.time_sensitive or right.time_sensitive
@@ -96,6 +99,7 @@ class _StartedByAuto:
     """Tracks with a proper prefix accepted by the child automaton."""
 
     def __init__(self, sub):
+        self.K = sub.K
         self.sub = sub
         self.time_sensitive = sub.time_sensitive
 
@@ -124,6 +128,7 @@ class _FinishedByAuto:
     """
 
     def __init__(self, sub):
+        self.K = sub.K
         self.sub = sub
         self.time_sensitive = sub.time_sensitive
 
@@ -147,6 +152,7 @@ class _MeetsAuto:
     time_sensitive = False
 
     def __init__(self, K, sub, bound):
+        self.K = K
         self.aset = frozenset(
             v for v in K.states if _exists_from(K, sub, v, bound)
         )
@@ -167,6 +173,7 @@ class _MetByAuto:
     time_sensitive = False
 
     def __init__(self, K, sub, bound):
+        self.K = K
         self.bset = _ending_states(K, sub, bound)
 
     def start(self, v):
@@ -243,8 +250,10 @@ def compile_positive(K: KripkeStructure, phi, bound: int):
 
 
 def accepts_track(auto, rho: Track, bound: int) -> bool:
-    """Run the automaton over one track (subset simulation)."""
-    rho = tuple(rho)
+    """Run the automaton over one track (subset simulation). ValidationError
+    when `rho` is not a track of the automaton's structure (see
+    `model.check_track`)."""
+    rho = check_track(auto.K, rho)
     if len(rho) > bound:
         raise BoundTooSmall(f"track of length {len(rho)} exceeds bound {bound}")
     frontier = set(auto.start(rho[0]))

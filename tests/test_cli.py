@@ -43,7 +43,7 @@ def test_check_json_schema(kequiv_path, capsys):
     assert report["engine"] == "descriptor"
     assert isinstance(report["counterexample"], list)
     assert report["bound"] is None
-    K = parse_kripke(open(kequiv_path).read())
+    K = parse_kripke(kequiv_path.read_text())
     ce = report["counterexample"]
     assert ce[0] == K.init
     assert all((a, b) in K.edges for a, b in zip(ce, ce[1:]))
@@ -137,7 +137,7 @@ def test_check_oracle_bounded_refutation_is_exact(kequiv_path, capsys):
 def test_check_oracle_counts_initial_tracks(kequiv_path, capsys):
     # All initial tracks up to the bound when none fails; otherwise up to
     # the failing one, whose 1-based position in enumeration order it is.
-    K = parse_kripke(open(kequiv_path).read())
+    K = parse_kripke(kequiv_path.read_text())
     tracks = list(enumerate_tracks(K, 4, start=K.init))
     argv = ("check", "--model", str(kequiv_path), "--engine", "oracle", "--bound", "4", "--json")
     code, out, _ = run(capsys, *argv, "--formula", "<~B> true | <B> true")
@@ -187,6 +187,20 @@ def test_check_oracle_saturated_count_stops_early(kequiv_path, capsys):
     report = json.loads(out)
     assert (code, report["result"]) == (4, "approximate-true")
     assert report["stats"]["initial_tracks"] == 2**63 - 1
+
+
+def test_check_oracle_length_dependent_root_answers_fast(kequiv_path, capsys):
+    # `<~B><D> true` depends on a track's last state and length only, so the
+    # oracle decides it once per reachable (last state, length) at the
+    # default bound 408, where the initial tracks are far too many to
+    # enumerate.
+    scheduler = kequiv_path.parent / "scheduler.kripke"
+    argv = ("check", "--model", str(scheduler), "--formula", "<~B><D> true", "--json")
+    started = time.perf_counter()
+    code, out, _ = run(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    report = json.loads(out)
+    assert (code, report["result"], report["bound"]) == (4, "approximate-false", 408)
 
 
 def test_check_input_error_exit_two(tmp_path, capsys):

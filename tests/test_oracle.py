@@ -1,7 +1,7 @@
 import pytest
 
 from intervalmc import descriptor_of, enumerate_tracks
-from intervalmc.errors import BoundTooSmall, NotInFragment
+from intervalmc.errors import BoundTooSmall, NotInFragment, ValidationError
 from intervalmc.logic import (
     FALSE,
     TRUE,
@@ -17,7 +17,7 @@ from intervalmc.logic import (
     Prop,
     parse_formula,
 )
-from intervalmc.oracle import BoundedEvaluator, default_bound, eval_bounded, model_check_bounded
+from intervalmc.oracle import TRACK, BoundedEvaluator, default_bound, eval_bounded, model_check_bounded
 from intervalmc.reductions import CnfFormula, build_sat_instance
 from intervalmc.tracknfa import accepts_track, compile_positive, find_satisfying_track
 
@@ -47,6 +47,29 @@ def test_eval_bounded_examples(kequiv):
 def test_eval_bounded_rejects_long_track(kequiv):
     with pytest.raises(BoundTooSmall):
         eval_bounded(kequiv, ("v0", "v0", "v0"), parse_formula("p"), 2)
+
+
+@pytest.mark.parametrize(
+    "rho, reason, subject",
+    [
+        (("b", "a"), "NotATrack", None),
+        (("a", "zz"), "UnknownState", "zz"),
+        (("a",), "NotATrack", None),
+        ((), "NotATrack", None),
+    ],
+    ids=["missing-edge", "undeclared-state", "one-state", "empty"],
+)
+def test_eval_bounded_rejects_a_non_track(rho, reason, subject):
+    # The formula is constant, so only the track check can refuse. b -> a
+    # is no edge.
+    from intervalmc import KripkeStructure
+
+    K = KripkeStructure(
+        ap=("p",), states=("a", "b"), edges={("a", "a"), ("a", "b"), ("b", "b")}, labels={}, init="a"
+    )
+    with pytest.raises(ValidationError) as err:
+        eval_bounded(K, rho, parse_formula("true"), 4)
+    assert (err.value.reason, err.value.subject) == (reason, subject)
 
 
 def test_eval_bounded_rejects_sugar(kequiv):
@@ -581,8 +604,9 @@ def test_endpoint_shortcut_matches_evaluating_every_track():
         assert (verdict.value, verdict.failing_track, verdict.initial_tracks) == want, (phi, bound)
         ev = BoundedEvaluator(K, bound)
         root = ev.compile(phi)
-        endpoint += ev.endpoint[root]
-        failing += ev.endpoint[root] and not want[0]
+        shortcut = ev.deps[root] != TRACK
+        endpoint += shortcut
+        failing += shortcut and not want[0]
         fixed += ev.fixed[root] is not None
     # Both outcomes of the shortcut, and folded roots, are exercised.
     assert endpoint >= 150 and failing >= 60 and fixed >= 50, (endpoint, failing, fixed)
@@ -595,3 +619,214 @@ def test_automaton_rejects_unsupported_nodes(kequiv):
         compile_positive(kequiv, parse_formula("<~E> p"), 6)
     with pytest.raises(NotInFragment):
         compile_positive(kequiv, parse_formula("!(<A> p)"), 6)
+
+
+# ---------------------------------------------------------------------------
+# Decisions per (last state, length) and the counted first failing track,
+# against the evaluator that enumerated every initial track.
+
+
+class _EnumeratingEvaluator:
+    """`BoundedEvaluator` as it was before it recorded which track features
+    a node depends on: fixed nodes folded, `<A>`/`<~A>` memoized per last
+    (first) state, every other node per track, and every extension walked
+    depth first."""
+
+    def __init__(self, K, bound):
+        from intervalmc import logic as lg
+
+        self.K, self.bound = K, bound
+        self._table = lg.FormulaTable()
+        self._nodes = self._table.nodes
+        self._memo, self.fixed = [], []
+
+    def compile(self, phi):
+        from intervalmc.logic import Const, Prop
+
+        root = self._table.add(phi)
+        for kind, a, b in self._nodes[len(self._memo) :]:
+            self._memo.append({})
+            if kind is Const:
+                f = a
+            elif kind is Prop:
+                f = None
+            elif isinstance(kind, Modality):
+                f = self.fixed[a] if self.fixed[a] is (not b) else None
+            else:
+                x, y = self.fixed[a], None if kind is Not else self.fixed[b]
+                if kind is Not:
+                    f = None if x is None else not x
+                elif kind is And:
+                    f = False if False in (x, y) else None if None in (x, y) else True
+                else:
+                    if kind is Implies:
+                        x = None if x is None else not x
+                    f = True if True in (x, y) else None if None in (x, y) else False
+            self.fixed.append(f)
+        return root
+
+    def eval(self, rho, phi):
+        return self._value(self.compile(phi), tuple(rho))
+
+    def _value(self, i, rho):
+        from intervalmc.logic import Prop
+        from intervalmc.model import track_label
+
+        out = self.fixed[i]
+        if out is not None:
+            return out
+        kind, a, b = self._nodes[i]
+        key = rho[-1] if kind is Modality.A else rho[0] if kind is Modality.ABAR else rho
+        memo = self._memo[i]
+        if key in memo:
+            return memo[key]
+        if kind is Prop:
+            out = a in track_label(self.K, rho)
+        elif kind is Not:
+            out = not self._value(a, rho)
+        elif kind is And:
+            out = self._value(a, rho) and self._value(b, rho)
+        elif kind is Or:
+            out = self._value(a, rho) or self._value(b, rho)
+        elif kind is Implies:
+            out = not self._value(a, rho) or self._value(b, rho)
+        else:
+            if kind is Modality.B:
+                domain = (rho[:j] for j in range(2, len(rho)))
+            elif kind is Modality.E:
+                domain = (rho[j:] for j in range(1, len(rho) - 1))
+            elif kind in (Modality.A, Modality.ABAR):
+                domain = self._walk((key,), kind is Modality.A)
+            else:
+                domain = self._walk(rho, kind is Modality.BBAR)
+            out = not b
+            for t in domain:
+                if self._value(a, t) == b:
+                    out = b
+                    break
+        memo[key] = out
+        return out
+
+    def _walk(self, track, forward):
+        stack, t = [], track
+        while True:
+            if len(t) < self.bound:
+                if forward:
+                    stack += [t + (w,) for w in reversed(self.K.successors(t[-1]))]
+                else:
+                    stack += [(w,) + t for w in reversed(self.K.predecessors(t[0]))]
+            if not stack:
+                return
+            t = stack.pop()
+            yield t
+
+
+def _enumerating_check(K, phi, bound):
+    """(value, failing track, initial tracks) from every initial track."""
+    ev = _EnumeratingEvaluator(K, bound)
+    root = ev.compile(phi)
+    count = 0
+    for rho in enumerate_tracks(K, bound, start=K.init):
+        count += 1
+        if not ev._value(root, rho):
+            return False, rho, count
+    return True, None, count
+
+
+_LOOSE_MODS = (Modality.B, Modality.E, Modality.BBAR, Modality.EBAR)
+
+
+def _length_biased_formula(rng, depth):
+    """Mostly `<B>`/`<E>`/`<~B>`/`<~E>` (diamonds or boxes) over constants,
+    `<A>`, `<~A>` and each other, whose roots depend on the length, with
+    some letters and Boolean nodes."""
+    r = rng.random()
+    if depth == 0 or r < 0.12:
+        return rng.choice((TRUE, FALSE, TRUE, FALSE, Prop("p"), Prop("q")))
+    node = rng.choice((Diamond, Box))
+    if r < 0.55:
+        return node(rng.choice(_LOOSE_MODS), _length_biased_formula(rng, depth - 1))
+    if r < 0.7:
+        if rng.random() < 0.4:
+            sub = random_hs_formula(rng, ("p", "q"), modal_budget=1)
+        else:
+            sub = _length_biased_formula(rng, depth - 1)
+        return node(rng.choice((Modality.A, Modality.ABAR)), sub)
+    if r < 0.78:
+        return Not(_length_biased_formula(rng, depth - 1))
+    left, right = _length_biased_formula(rng, depth - 1), _length_biased_formula(rng, depth - 1)
+    return rng.choice((And, Or, Implies))(left, right)
+
+
+def test_decisions_per_last_state_and_length_match_enumerating_evaluator():
+    from intervalmc.logic import subformulas
+    from intervalmc.oracle import LENGTH
+
+    rng = rng_for("per-last-state-and-length")
+    length_roots = failing = 0
+    for n in range(400):
+        K = random_kripke(rng, max_states=4, letters=("p", "q"))
+        bound = rng.randint(2, 7)
+        phi = _length_biased_formula(rng, rng.randint(1, 4))
+        verdict = model_check_bounded(K, phi, bound)
+        want = _enumerating_check(K, phi, bound)
+        assert (verdict.value, verdict.failing_track, verdict.initial_tracks) == want, (phi, bound)
+        ev = BoundedEvaluator(K, bound)
+        root = ev.compile(phi)
+        dep = ev.deps[root]
+        by_length = dep != TRACK and dep & LENGTH
+        length_roots += bool(by_length)
+        failing += bool(by_length) and not want[0]
+        ref = _EnumeratingEvaluator(K, bound)
+        tracks = list(enumerate_tracks(K, min(bound, 4)))
+        for f in subformulas(phi):
+            assert [ev.eval(t, f) for t in tracks] == [ref.eval(t, f) for t in tracks], (f, bound)
+    # Roots decided once per (last state, length), both outcomes.
+    assert length_roots >= 60 and failing >= 30, (length_roots, failing)
+
+
+def _cluster_with_chain(d):
+    """A complete 4-state cluster k0..k3 with a chain c1..cd hanging off k3;
+    only cd lacks p, so `<A> p` first fails on a track ending in c(d-1)."""
+    from intervalmc import KripkeStructure
+
+    cluster = [f"k{i}" for i in range(4)]
+    chain = [f"c{i}" for i in range(1, d + 1)]
+    edges = {(a, b) for a in cluster for b in cluster} | {("k3", "c1"), (chain[-1], chain[-1])}
+    edges |= set(zip(chain, chain[1:]))
+    labels = {s: ("p",) for s in cluster + chain[:-1]}
+    return KripkeStructure(ap=("p",), states=cluster + chain, edges=edges, labels=labels, init="k0")
+
+
+@pytest.mark.parametrize("d", [6, 8])
+def test_first_failing_track_is_counted_not_enumerated(d):
+    K = _cluster_with_chain(d)
+    phi = parse_formula("<A> p")
+    verdict = model_check_bounded(K, phi, d + 3)
+    assert (verdict.value, verdict.failing_track, verdict.initial_tracks) == _enumerating_check(K, phi, d + 3)
+
+
+def test_first_failing_track_far_down_a_chain_is_fast():
+    # 1,230,616 initial tracks come before the failing one; enumerating
+    # them takes about half a second.
+    import time
+
+    K = _cluster_with_chain(10)
+    started = time.perf_counter()
+    verdict = model_check_bounded(K, parse_formula("<A> p"), 13)
+    assert time.perf_counter() - started < 0.1
+    assert verdict.initial_tracks == 1_230_616
+    assert verdict.failing_track == ("k0", "k3") + tuple(f"c{i}" for i in range(1, 10))
+
+
+def test_length_dependent_root_on_scheduler_at_default_bound(scheduler):
+    # `<~B><D> true` holds on a track only if it can be extended within the
+    # bound: it first fails on the first initial track of the bound's length.
+    phi = desugar(parse_formula("<~B><D> true"))
+    bound = default_bound(scheduler, phi)
+    assert bound == 408
+    verdict = model_check_bounded(scheduler, phi, bound)
+    first = (scheduler.init,)
+    while len(first) < bound:
+        first += (scheduler.successors(first[-1])[0],)
+    assert (verdict.value, verdict.failing_track, verdict.initial_tracks) == (False, first, 2**63 - 1)

@@ -460,3 +460,22 @@ def test_undeclared_state_is_rejected(ask):
     with pytest.raises(ValidationError) as err:
         find_satisfying_track(_looping_start(), parse_formula("<E> q"), 8, **ask)
     assert (err.value.reason, err.value.subject) == ("UnknownState", "zz")
+
+
+# A sequence that is not a track of the structure, and the reason it is
+# refused with. b -> a is no edge of `_looping_start`.
+NOT_A_TRACK = [
+    (("b", "a", "b", "b"), "NotATrack", None),
+    (("a", "zz"), "UnknownState", "zz"),
+    (("a",), "NotATrack", None),
+    ((), "NotATrack", None),
+]
+NOT_A_TRACK_IDS = ["missing-edge", "undeclared-state", "one-state", "empty"]
+
+
+@pytest.mark.parametrize("rho, reason, subject", NOT_A_TRACK, ids=NOT_A_TRACK_IDS)
+def test_accepts_track_rejects_a_non_track(rho, reason, subject):
+    auto = compile_positive(_looping_start(), parse_formula("<E> q"), 8)
+    with pytest.raises(ValidationError) as err:
+        accepts_track(auto, rho, 8)
+    assert (err.value.reason, err.value.subject) == (reason, subject)
