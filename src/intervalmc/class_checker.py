@@ -6,14 +6,16 @@ extensions depends on a track only through the letters of the formula
 that hold on it and its last state, so each equivalence class can be
 evaluated once. Classes are generated from the length-2 seed tracks and
 closed under single-state extension. A class is a dense int id, keyed by
-letter bitmask * |W| + last state number. Each node of the formula's
+mask * |W| + last state id, with the mask over the formula's letters and
+state ids from `KripkeStructure.numbering`. Each node of the formula's
 `logic.FormulaTable` has an int bitset over ids as its truth set.
 
 `<A>` and `<~B>` both search backwards from their operand's truth set over
 one predecessor list, once per node: `<~B>` marks the classes with a
 strict extension in it, and `<A>` the last states one of whose seed
 classes is in it or reaches it. No state's forward reach set is kept;
-`check_ab` makes one forward search, from the initial state.
+`check_ab` makes one breadth-first search from the initial state, which
+gives both the verdict and the shortest counterexample.
 """
 
 from __future__ import annotations
@@ -21,11 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count
+from typing import Optional
 
-from .errors import NotInFragment
-from .logic import And, Const, FormulaTable, Implies, Modality, Not, Or, Prop, classify, prop_letters
+from .errors import NotInFragment, ValidationError
+from .logic import _AB_MODS, And, Const, FormulaTable, Implies, Modality, Not, Or, Prop, prop_letters
+from .logic import classify  # unused; perfbench/tracer.py counts calls through this name
 from .descriptor_checker import Verdict
-from .model import KripkeStructure, Track, track_label
+from .model import KripkeStructure, Track, check_track, track_label
 
 
 @dataclass(frozen=True)
@@ -40,8 +44,8 @@ class TrackClass:
 
 def class_of(K: KripkeStructure, psi, rho: Track) -> TrackClass:
     """Quotient image of a track: its label restricted to the letters of
-    the formula, paired with its last state.
-    """
+    the formula, paired with its last state. ValidationError for a non-track."""
+    rho = check_track(K, rho)
     return TrackClass(track_label(K, rho) & prop_letters(psi), rho[-1])
 
 
@@ -62,22 +66,23 @@ class ClassEngine:
     """
 
     def __init__(self, K: KripkeStructure, psi):
-        if not classify(psi).ab_bar:
-            raise NotInFragment("class engine expects a formula over <A> and <~B> only")
         self.K = K
-        self._table = FormulaTable()
-        self._root = self._table.add(psi)
-        self.pl = frozenset(a for kind, a, _ in self._table.nodes if kind is Prop)
+        self._table = table = FormulaTable()
+        self._root = table.add(psi)
+        if not table.desugared[self._root]:
+            raise ValueError("class engine expects a desugared formula")
+        if any(isinstance(kind, Modality) and kind not in _AB_MODS for kind, _, _ in table.nodes):
+            raise NotInFragment("class engine expects a formula over <A> and <~B> only")
+        self.pl = frozenset(a for kind, a, _ in table.nodes if kind is Prop)
         self._letters = sorted(self.pl)
-        self._index = {s: i for i, s in enumerate(K.states)}
+        self._numbering = K.numbering()
         self._build_classes()
         self._truth = self._evaluate()
 
     def _build_classes(self):
-        K, index, n = self.K, self._index, len(self.K.states)
+        numbering, n = self._numbering, len(self.K.states)
         bit = {p: 1 << i for i, p in enumerate(self._letters)}
-        label = [sum(bit[p] for p in K.labels[s] & self.pl) for s in K.states]
-        out = [[index[w] for w in K.successors(s)] for s in K.states]
+        label = [sum(bit[p] for p in self.K.labels[s] & self.pl) for s in numbering.names]
         ids, keys, rows, by_last = {}, [], [], [[] for _ in range(n)]
         # `masks` holds each class's letter mask in `width` bytes.
         width, masks = len(self._letters) + 7 >> 3, bytearray()
@@ -88,7 +93,7 @@ class ClassEngine:
         for source in chain([label[v] * n + v for v in range(n)], keys):
             mask, last = divmod(source, n)
             row = []
-            for w in out[last]:
+            for w in numbering.succ[last]:
                 m = mask & label[w]
                 key = m * n + w
                 c = ids.get(key)
@@ -138,9 +143,9 @@ class ClassEngine:
     @cached_property
     def _id_of(self) -> dict:
         """Id of every realized class, in id order."""
-        n, letters = len(self.K.states), self._letters
+        names, letters, n = self._numbering.names, self._letters, len(self.K.states)
         return {
-            TrackClass(frozenset(p for i, p in enumerate(letters) if key // n >> i & 1), self.K.states[key % n]): c
+            TrackClass(frozenset(p for i, p in enumerate(letters) if key // n >> i & 1), names[key % n]): c
             for c, key in enumerate(self._keys)
         }
 
@@ -149,15 +154,14 @@ class ClassEngine:
         """Every realized class."""
         return frozenset(self._id_of)
 
-    def _from(self, v: int) -> int:
-        """Bitset of the classes of the tracks starting at state number `v`:
-        its seed classes and every class reached from them."""
-        return self._closure(self._seeds[v], self._succ)
-
     def classes_from(self, v) -> frozenset:
-        """Classes of the tracks starting at `v`."""
+        """Classes of the tracks starting at `v`: its seed classes and every
+        class reached from them. ValidationError for an undeclared state."""
+        i = self._numbering.ids.get(v)
+        if i is None:
+            raise ValidationError("UnknownState", v)
         named = list(self._id_of)
-        return frozenset(named[c] for c in _members(self._from(self._index[v])))
+        return frozenset(named[c] for c in _members(self._closure(self._seeds[i], self._succ)))
 
     def truth(self, phi, c: TrackClass) -> bool:
         """Truth of a subformula on every track of the class."""
@@ -180,7 +184,7 @@ class ClassEngine:
                 sat = truth[a] | truth[b]
             elif kind is Implies:
                 sat = (full ^ truth[a]) | truth[b]
-            elif kind is Modality.A or kind is Modality.BBAR:
+            else:  # <A> or <~B>, the only modalities `__init__` admits
                 # A box is the complement of the diamond of the complement.
                 sub = truth[a] if b else full ^ truth[a]
                 # Both diamonds search backwards from `sub`. `<~B>` needs a
@@ -197,32 +201,31 @@ class ClassEngine:
                     sat = sum(lasts for seeds, lasts in zip(self._seed_bits, self._by_last) if seeds & sat)
                 if not b:
                     sat ^= full
-            else:
-                raise NotInFragment(f"{kind} node outside the fragment")
             truth.append(sat)
         return truth
 
-    def find_initial_track(self, violating: int) -> Track:
-        """Shortest initial track whose class is in the bitset `violating`,
-        by breadth-first search with visited-class pruning.
-        """
-        K, n = self.K, len(self.K.states)
-        bad = format(violating, f"0{len(self._keys)}b")[::-1]
-        seen = bytearray(len(self._keys))
-        frontier = [((K.init,), self._seeds[self._index[K.init]])]
-        while frontier:
-            nxt = []
-            for track, row in frontier:
-                for c in row:
-                    if seen[c]:
-                        continue
-                    seen[c] = 1
-                    longer = track + (K.states[self._keys[c] % n],)
-                    if bad[c] == "1":
-                        return longer
-                    nxt.append((longer, self._succ[c]))
-            frontier = nxt
-        raise RuntimeError("violating class is not realized from the initial state")
+    def find_initial_track(self, sat: int) -> Optional[Track]:
+        """Shortest initial track whose class is not in the bitset `sat`, or
+        None: one breadth-first search from the initial state that visits
+        each class once and keeps its parent."""
+        names, keys, n = self._numbering.names, self._keys, len(self.K.states)
+        good = format(sat, f"0{len(keys)}b")[::-1]
+        # -1 stands for the initial state, whose row is its seed row.
+        seeds = self._seeds[self._numbering.ids[self.K.init]]
+        parent, queue = {}, [-1]
+        for c in queue:
+            for c2 in self._succ[c] if c >= 0 else seeds:
+                if c2 in parent:
+                    continue
+                parent[c2] = c
+                if good[c2] == "0":
+                    track = []
+                    while c2 >= 0:
+                        track.append(names[keys[c2] % n])
+                        c2 = parent[c2]
+                    return (self.K.init, *reversed(track))
+                queue.append(c2)
+        return None
 
 
 def check_ab(K: KripkeStructure, psi) -> Verdict:
@@ -231,9 +234,6 @@ def check_ab(K: KripkeStructure, psi) -> Verdict:
     initial counterexample track.
     """
     engine = ClassEngine(K, psi)
-    violating = engine._from(engine._index[K.init]) & ~engine._truth[engine._root]
+    track = engine.find_initial_track(engine._truth[engine._root])
     stats = {"classes_realized": len(engine._keys)}
-    if not violating:
-        return Verdict("holds", None, "class", stats)
-    track = engine.find_initial_track(violating)
-    return Verdict("fails", track, "class", stats)
+    return Verdict("holds" if track is None else "fails", track, "class", stats)

@@ -265,10 +265,8 @@ def model_check_univ(K: KripkeStructure, psi, use_memo: bool = True) -> Verdict:
     """Model check a universal-fragment formula: Holds iff no witnessed
     initial descriptor element admits a track satisfying the dualized
     negation; otherwise Fails with the first counterexample track in
-    canonical order.
+    canonical order. NotInFragment (from `negate_to_exists`) outside ForallAABE.
     """
-    if not classify(psi).forall_aabe:
-        raise NotInFragment("model_check_univ expects a ForallAABE formula")
     negated = negate_to_exists(psi)
     engine = _ExistsEngine(K, negated, use_memo=use_memo)
     for d in engine.witnessed(K.numbering().ids[K.init]):

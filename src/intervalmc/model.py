@@ -42,7 +42,7 @@ class KripkeStructure:
         self.edges = frozenset((str(a), str(b)) for a, b in edges)
         self.labels = {s: frozenset(labels.get(s, ())) for s in self.states}
         self.init = init
-        self._validate()
+        self._validate(labels)
         succ: dict[str, list[str]] = {s: [] for s in self.states}
         pred: dict[str, list[str]] = {s: [] for s in self.states}
         for a, b in sorted(self.edges):
@@ -52,12 +52,13 @@ class KripkeStructure:
         self._pred = {s: tuple(sorted(v)) for s, v in pred.items()}
         self._numbering = None
 
-    def _validate(self):
+    def _validate(self, labels):
         if not self.states:
             raise ValidationError("UnknownState", message="structure has no states")
-        if len(self.states) != len(set(self.states)):
-            raise ValidationError("DuplicateState")
         known = set(self.states)
+        if len(known) != len(self.states):
+            first = next(s for i, s in enumerate(self.states) if s in self.states[:i])
+            raise ValidationError("DuplicateState", first)
         for name in self.states:
             if not _NAME_RE.match(name):
                 raise ValidationError("UnknownState", name, "invalid state name")
@@ -72,6 +73,9 @@ class KripkeStructure:
         for s in self.states:
             if s not in sources:
                 raise ValidationError("NotLeftTotal", s, "state has no outgoing edge")
+        for s in labels:
+            if s not in known:
+                raise ValidationError("UnknownState", s, "labelled state is not declared")
         for s, letters in self.labels.items():
             stray = letters - self.ap
             if stray:
@@ -82,9 +86,6 @@ class KripkeStructure:
 
     def predecessors(self, v: str) -> tuple[str, ...]:
         return self._pred[v]
-
-    def label(self, v: str) -> frozenset:
-        return self.labels[v]
 
     def numbering(self) -> Numbering:
         """The state and letter numbering, built on first use."""
@@ -449,8 +450,6 @@ def parse_kripke(text: str) -> KripkeStructure:
             name = head.strip()
             if not colon or not _NAME_RE.match(name):
                 raise ParseError(f"invalid state declaration {line!r}", line=lineno)
-            if name in labels:
-                raise ValidationError("DuplicateState", name)
             letters = rest.split()
             for p in letters:
                 if not _NAME_RE.match(p):
@@ -475,7 +474,7 @@ def parse_kripke(text: str) -> KripkeStructure:
         raise ValidationError("MissingInit")
     if not states:
         raise ParseError("no state lines")
-    # The constructor rejects unknown propositions, states and edge ends.
+    # The constructor rejects duplicate or unknown states and unknown propositions.
     return KripkeStructure(ap=ap, states=states, edges=edges, labels=labels, init=init)
 
 

@@ -1,8 +1,10 @@
+from itertools import chain
+
 import pytest
 
 from intervalmc import KripkeStructure, enumerate_tracks, is_track, track_label
 from intervalmc.class_checker import ClassEngine, TrackClass, check_ab, class_of
-from intervalmc.errors import NotInFragment
+from intervalmc.errors import NotInFragment, ValidationError
 from intervalmc.logic import (
     And,
     Box,
@@ -23,7 +25,7 @@ from intervalmc.logic import (
 from intervalmc.reductions import CnfFormula, QbfFormula, build_qbf_instance
 from intervalmc.tracknfa import accepts_track, compile_positive
 
-from _instances import random_ab_formula, random_kripke, random_positive_formula, rng_for
+from _instances import random_ab_formula, random_kripke, random_positive_formula, random_qbf, rng_for
 
 
 def test_class_of_examples(kequiv):
@@ -55,6 +57,28 @@ def test_check_ab_counterexample_is_shortest_violating(kequiv):
 def test_check_ab_requires_fragment(kequiv):
     with pytest.raises(NotInFragment):
         check_ab(kequiv, parse_formula("<B> p"))
+
+
+def test_class_engine_requires_desugared_formula(kequiv):
+    with pytest.raises(ValueError):
+        ClassEngine(kequiv, parse_formula("<A> <D> p"))
+
+
+def test_classes_from_unknown_state(kequiv):
+    engine = ClassEngine(kequiv, parse_formula("<A> p"))
+    with pytest.raises(ValidationError) as err:
+        engine.classes_from("zz")
+    assert (err.value.reason, err.value.subject) == ("UnknownState", "zz")
+
+
+def test_class_of_refuses_a_non_track(kequiv):
+    p = parse_formula("p")
+    with pytest.raises(ValidationError) as err:
+        class_of(kequiv, p, ("zz", "v0"))
+    assert (err.value.reason, err.value.subject) == ("UnknownState", "zz")
+    with pytest.raises(ValidationError) as err:
+        class_of(kequiv, p, ("v0",))
+    assert err.value.reason == "NotATrack"
 
 
 def test_realized_class_count_bound():
@@ -334,3 +358,98 @@ def test_nested_a_formulas_agree_with_frozenset_reference():
         assert (verdict.result, verdict.counterexample) == ref.check(psi)
         fails += verdict.result == "fails"
     assert 10 <= fails <= 40
+
+
+class _TwoStepSearch:
+    """Reference class graph and search: classes keyed over `K.states`
+    order through an own state index, `from_` as the closure of a state's
+    seed classes, and `check` as that closure from the initial state, then
+    a breadth-first search for a class in the violating set. Per-class
+    truth comes from the engine under test; the frozenset reference above
+    checks it."""
+
+    def __init__(self, K, pl):
+        index, n, letters = {s: i for i, s in enumerate(K.states)}, len(K.states), sorted(pl)
+        bit = {p: 1 << i for i, p in enumerate(letters)}
+        label = [sum(bit[p] for p in K.labels[s] & pl) for s in K.states]
+        ids, keys, rows = {}, [], []
+        for source in chain([label[v] * n + v for v in range(n)], keys):
+            mask, last = divmod(source, n)
+            row = []
+            for w in (index[s] for s in K.successors(K.states[last])):
+                key = (mask & label[w]) * n + w
+                if key not in ids:
+                    ids[key] = len(keys)
+                    keys.append(key)
+                row.append(ids[key])
+            rows.append(row)
+        self.K, self.index, self.keys = K, index, keys
+        self.seeds, self.succ = rows[:n], rows[n:]
+        self.named = [
+            TrackClass(frozenset(p for i, p in enumerate(letters) if key // n >> i & 1), K.states[key % n])
+            for key in keys
+        ]
+
+    def from_(self, v):
+        reach, todo = set(), list(self.seeds[self.index[v]])
+        while todo:
+            c = todo.pop()
+            if c not in reach:
+                reach.add(c)
+                todo += self.succ[c]
+        return reach
+
+    def find_initial_track(self, violating):
+        K, n, seen = self.K, len(self.K.states), set()
+        frontier = [((K.init,), self.seeds[self.index[K.init]])]
+        while frontier:
+            nxt = []
+            for track, row in frontier:
+                for c in row:
+                    if c in seen:
+                        continue
+                    seen.add(c)
+                    longer = track + (K.states[self.keys[c] % n],)
+                    if c in violating:
+                        return longer
+                    nxt.append((longer, self.succ[c]))
+            frontier = nxt
+        raise AssertionError("violating class is not realized from the initial state")
+
+    def check(self, holds):
+        violating = {c for c in self.from_(self.K.init) if not holds(self.named[c])}
+        if not violating:
+            return "holds", None
+        return "fails", self.find_initial_track(violating)
+
+
+def _shuffled(rng, K):
+    """K with its states declared in a random order, so that declaration
+    order and sorted-name order differ."""
+    states = list(K.states)
+    rng.shuffle(states)
+    return KripkeStructure(ap=K.ap, states=states, edges=K.edges, labels=K.labels, init=K.init)
+
+
+def test_single_search_agrees_with_two_step_reference():
+    rng = rng_for("single-search-vs-two-step")
+    letters = ("p", "q", "r")
+    pairs = []
+    for _ in range(1000):
+        K = _shuffled(rng, random_kripke(rng, max_states=7, letters=letters))
+        pairs.append((K, desugar(random_ab_formula(rng, letters))))
+    pairs += [build_qbf_instance(random_qbf(rng, max_vars=3, max_clauses=5)) for _ in range(20)]
+    fails = 0
+    for K, psi in pairs:
+        verdict = check_ab(K, psi)
+        engine = ClassEngine(K, psi)
+        ref = _TwoStepSearch(K, engine.pl)
+        sat = engine._truth[engine._root]
+        result = ref.check(lambda c: bool(sat >> engine._id_of[c] & 1))
+        assert (verdict.result, verdict.counterexample) == result
+        assert verdict.stats["classes_realized"] == len(ref.keys)
+        assert engine.classes == frozenset(ref.named)
+        for v in K.states:
+            assert engine.classes_from(v) == {ref.named[c] for c in ref.from_(v)}
+        fails += verdict.result == "fails"
+    assert 200 <= fails <= 900

@@ -6,6 +6,7 @@ import pytest
 
 from intervalmc import enumerate_tracks, parse_kripke
 from intervalmc.cli import main
+from intervalmc.logic import FormulaTable
 
 
 def run(capsys, *argv):
@@ -263,6 +264,25 @@ def test_check_deep_negation_chain_gets_a_verdict(kequiv_path, capsys):
         reports.append((code, report))
     assert reports[0] == reports[1]
     assert reports[0][0] == 1 and reports[0][1]["engine"] == "descriptor"
+
+
+def test_check_builds_one_formula_table_per_engine(kequiv_path, capsys, monkeypatch):
+    # `cmd_check` classifies the formula over one table; each engine then
+    # compiles it once, without classifying it again.
+    scheduler = str(kequiv_path.parent / "scheduler.kripke")
+    built = []
+    init = FormulaTable.__init__
+
+    def counting(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(FormulaTable, "__init__", counting)
+    cases = (("descriptor", "[E] !(e0 & e1)", 1), ("class", "[~B] !(e0 & e1)", 0), ("oracle", "[~E] true", 4))
+    for engine, formula, exit_code in cases:
+        built.clear()
+        code, _, _ = run(capsys, "check", "--model", scheduler, "--formula", formula, "--engine", engine)
+        assert (code, len(built)) == (exit_code, 2), engine
 
 
 def test_check_formula_file(kequiv_path, tmp_path, capsys):

@@ -16,9 +16,12 @@ from intervalmc.logic import (
     And,
     Box,
     Diamond,
+    Implies,
     Modality,
+    Not,
     Or,
     Prop,
+    classify,
     desugar,
     is_propositional,
     modal_count,
@@ -35,6 +38,7 @@ from _instances import (
     random_beta,
     random_exists_formula,
     random_forall_formula,
+    random_hs_formula,
     random_kripke,
     rng_for,
 )
@@ -169,6 +173,43 @@ def test_univ_contradiction_holds():
 def test_univ_requires_fragment(kequiv):
     with pytest.raises(NotInFragment):
         model_check_univ(kequiv, parse_formula("<A> p"))
+
+
+def test_univ_refuses_sugared_modalities(kequiv):
+    # `negate_to_exists` decides the fragment, and a sugared modality is
+    # outside it.
+    with pytest.raises(NotInFragment):
+        model_check_univ(kequiv, parse_formula("[D] p"))
+
+
+def test_univ_fragment_gate_agrees_with_classify():
+    # `model_check_univ` leaves the fragment test to `negate_to_exists`;
+    # it must refuse exactly the formulas that `classify` puts outside
+    # ForallAABE.
+    rng = rng_for("univ-gate-vs-classify")
+    letters = ("p", "q")
+    K = KripkeStructure(ap=letters, states=("a",), edges={("a", "a")}, labels={"a": ("p",)}, init="a")
+    makers = (
+        lambda: random_forall_formula(rng, letters),
+        lambda: random_exists_formula(rng, letters),
+        lambda: random_hs_formula(rng, letters),
+        lambda: rng.choice((And, Or, Implies))(
+            random_forall_formula(rng, letters, 2), random_hs_formula(rng, letters, 2)
+        ),
+        lambda: Not(rng.choice(makers)()),
+    )
+    inside = 0
+    for _ in range(2000):
+        psi = desugar(rng.choice(makers)())
+        expected = classify(psi).forall_aabe
+        try:
+            model_check_univ(K, psi)
+            refused = False
+        except NotInFragment:
+            refused = True
+        assert refused != expected, psi
+        inside += expected
+    assert 500 <= inside <= 1500
 
 
 def test_univ_counterexample_refutes_bounded():

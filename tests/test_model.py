@@ -57,10 +57,11 @@ def test_parse_rejects_undeclared_init():
 
 
 def test_parse_rejects_duplicate_state():
-    text = "ap: p\ninit: v0\nstate v0: p\nstate v0:\nedge: v0 v0\n"
+    text = "ap: p\ninit: v0\nstate v0: p\nstate v1:\nstate v0:\nedge: v0 v0\nedge: v1 v1\n"
     with pytest.raises(ValidationError) as err:
         parse_kripke(text)
     assert err.value.reason == "DuplicateState"
+    assert str(err.value) == "DuplicateState: v0"
 
 
 def test_parse_rejects_unknown_proposition():
@@ -122,6 +123,19 @@ def test_constructor_rejects_duplicate_states():
     with pytest.raises(ValidationError) as err:
         KripkeStructure(ap=(), states=("a", "a"), edges={("a", "a")}, labels={}, init="a")
     assert err.value.reason == "DuplicateState"
+    with pytest.raises(ValidationError) as err:
+        KripkeStructure(
+            ap=(), states=("a", "b", "c", "b", "a"), edges={(s, s) for s in "abc"}, labels={}, init="a"
+        )
+    assert (err.value.reason, err.value.subject) == ("DuplicateState", "b")
+
+
+def test_constructor_rejects_label_of_undeclared_state():
+    with pytest.raises(ValidationError) as err:
+        KripkeStructure(
+            ap=("p",), states=("a",), edges={("a", "a")}, labels={"a": ("p",), "zz": ("p",)}, init="a"
+        )
+    assert (err.value.reason, err.value.subject) == ("UnknownState", "zz")
 
 
 # ---------------------------------------------------------------------------
