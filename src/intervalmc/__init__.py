@@ -38,10 +38,7 @@ from .model import (
     enumerate_tracks,
     format_kripke,
     is_track,
-    isomorphic,
     parse_kripke,
-    reach_from,
-    restrict_labels,
     shortest_witness,
     track_label,
     witnessed_descriptors,

@@ -20,7 +20,6 @@ gives both the verdict and the shortest counterexample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count
 from typing import Optional
@@ -30,12 +29,15 @@ from .logic import _AB_MODS, And, Const, FormulaTable, Implies, Modality, Not, O
 from .logic import classify  # unused; perfbench/tracer.py counts calls through this name
 from .descriptor_checker import Verdict
 from .model import KripkeStructure, Track, check_track, track_label
+from .record import Record
 
 
-@dataclass(frozen=True)
-class TrackClass:
-    letters: frozenset
-    last: str
+class TrackClass(Record):
+    __slots__ = ("letters", "last")
+
+    def __init__(self, letters: frozenset, last: str):
+        self.letters = letters
+        self.last = last
 
     def __repr__(self):
         inner = ",".join(sorted(self.letters))

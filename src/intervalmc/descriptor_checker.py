@@ -32,7 +32,6 @@ track of d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import NotInFragment, NotWitnessed
@@ -58,19 +57,24 @@ from .model import (
     shortest_witness,
     witnessed_descriptors,  # unused; perfbench/tracer.py counts calls through this name
 )
+from .record import Record
 
 
-@dataclass
-class Verdict:
+class Verdict(Record):
     """Outcome of a model-level check. A counterexample, present exactly
     when the result is "fails", is an initial track falsifying the checked
-    formula.
+    formula. `stats` is a fresh dict unless one is given; a verdict is
+    mutable through it, so it has no hash.
     """
 
-    result: str
-    counterexample: Optional[Track]
-    engine: str
-    stats: dict = field(default_factory=dict)
+    __slots__ = ("result", "counterexample", "engine", "stats")
+    __hash__ = None
+
+    def __init__(self, result: str, counterexample: Optional[Track], engine: str, stats: Optional[dict] = None):
+        self.result = result
+        self.counterexample = counterexample
+        self.engine = engine
+        self.stats = {} if stats is None else stats
 
     @property
     def holds(self) -> bool:

@@ -41,7 +41,7 @@ class ValidationError(IntervalMCError):
         self.reason = reason
         self.subject = subject
         text = message or reason
-        if subject is not None and subject not in text:
+        if subject is not None:
             text = f"{text}: {subject}"
         super().__init__(text)
 

@@ -16,11 +16,11 @@ still recurse.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import NotInFragment, NotPropositional, ParseError, UnknownModality
 from .model import DescriptorElement, KripkeStructure
+from .record import Record
 
 
 class Modality(enum.Enum):
@@ -51,53 +51,69 @@ _PRIMITIVE = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Prop:
-    name: str
+class Prop(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class Const:
-    value: bool
+class Const(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        self.value = value
 
 
 TRUE = Const(True)
 FALSE = Const(False)
 
 
-@dataclass(frozen=True)
-class Not:
-    sub: "Formula"
+class Not(Record):
+    __slots__ = ("sub",)
+
+    def __init__(self, sub: Formula):
+        self.sub = sub
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class And(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Or(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class Implies(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class Diamond:
-    mod: Modality
-    sub: "Formula"
+class Diamond(Record):
+    __slots__ = ("mod", "sub")
+
+    def __init__(self, mod: Modality, sub: Formula):
+        self.mod = mod
+        self.sub = sub
 
 
-@dataclass(frozen=True)
-class Box:
-    mod: Modality
-    sub: "Formula"
+class Box(Record):
+    __slots__ = ("mod", "sub")
+
+    def __init__(self, mod: Modality, sub: Formula):
+        self.mod = mod
+        self.sub = sub
 
 
 # A union of classes, not `typing.Union`: typing caches every Union it builds,
@@ -367,15 +383,17 @@ def desugar(phi: Formula) -> Formula:
 # Fragment classification
 
 
-@dataclass(frozen=True)
-class Fragment:
+class Fragment(Record):
     """Grammar membership flags for a desugared formula."""
 
-    prop: bool
-    exists_aabe: bool
-    forall_aabe: bool
-    ab_bar: bool
-    modalities: frozenset
+    __slots__ = ("prop", "exists_aabe", "forall_aabe", "ab_bar", "modalities")
+
+    def __init__(self, prop: bool, exists_aabe: bool, forall_aabe: bool, ab_bar: bool, modalities: frozenset):
+        self.prop = prop
+        self.exists_aabe = exists_aabe
+        self.forall_aabe = forall_aabe
+        self.ab_bar = ab_bar
+        self.modalities = modalities
 
     def names(self):
         flags = {"Prop": self.prop, "ExistsAABE": self.exists_aabe, "ForallAABE": self.forall_aabe, "ABbar": self.ab_bar}

@@ -33,13 +33,13 @@ its position, by counting tracks instead of enumerating them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import logic
 from .errors import BoundTooSmall
 from .logic import And, Const, Implies, Modality, Not, Or, Prop
 from .model import KripkeStructure, Track, check_track, enumerate_tracks, track_label
+from .record import Record
 
 _A, _ABAR, _B, _E, _BBAR = Modality.A, Modality.ABAR, Modality.B, Modality.E, Modality.BBAR
 
@@ -49,14 +49,16 @@ FIRST, LAST, LENGTH = 1, 2, 4
 TRACK = 15
 
 
-@dataclass(frozen=True)
-class BoundedVerdict:
-    value: bool
-    bound: int
-    failing_track: Optional[Track] = None
-    # Initial tracks the verdict covers: all of them, or up to and
-    # including the failing one; saturating at MAX_COUNT.
-    initial_tracks: int = 0
+class BoundedVerdict(Record):
+    # `initial_tracks`: the initial tracks the verdict covers, all of them or
+    # up to and including the failing one; saturating at MAX_COUNT.
+    __slots__ = ("value", "bound", "failing_track", "initial_tracks")
+
+    def __init__(self, value: bool, bound: int, failing_track: Optional[Track] = None, initial_tracks: int = 0):
+        self.value = value
+        self.bound = bound
+        self.failing_track = failing_track
+        self.initial_tracks = initial_tracks
 
 
 MAX_COUNT = 2**63 - 1

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
 
 from .errors import NonPrenex, NotPropositional, OutOfRangeLiteral, ParseError, TooManyVariables
 from .logic import (
@@ -33,44 +32,45 @@ from .logic import (
     prop_letters,
 )
 from .model import KripkeStructure, Track, track_label
+from .record import Record
 
 _BRUTE_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(Record):
     """Clauses as tuples of nonzero signed variable indices (1-based)."""
 
-    num_vars: int
-    clauses: tuple
+    __slots__ = ("num_vars", "clauses")
 
-    def __post_init__(self):
-        for clause in self.clauses:
+    def __init__(self, num_vars: int, clauses: tuple):
+        for clause in clauses:
             for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise OutOfRangeLiteral(f"literal {lit} out of range for {self.num_vars} variables")
+                if lit == 0 or abs(lit) > num_vars:
+                    raise OutOfRangeLiteral(f"literal {lit} out of range for {num_vars} variables")
+        self.num_vars = num_vars
+        self.clauses = clauses
 
 
-@dataclass(frozen=True)
-class QbfFormula:
+class QbfFormula(Record):
     """Prenex quantified Boolean formula; prefix is outermost-first pairs
     of ('e'|'a', variable index) binding every matrix variable once.
     """
 
-    prefix: tuple
-    matrix: CnfFormula
+    __slots__ = ("prefix", "matrix")
 
-    def __post_init__(self):
+    def __init__(self, prefix: tuple, matrix: CnfFormula):
         seen = set()
-        for q, v in self.prefix:
+        for q, v in prefix:
             if q not in ("e", "a"):
                 raise NonPrenex(f"bad quantifier {q!r}")
             if v in seen:
                 raise NonPrenex(f"variable {v} quantified twice")
             seen.add(v)
-        used = {abs(lit) for clause in self.matrix.clauses for lit in clause}
+        used = {abs(lit) for clause in matrix.clauses for lit in clause}
         if not used <= seen:
             raise NonPrenex(f"matrix variables {sorted(used - seen)} are unbound")
+        self.prefix = prefix
+        self.matrix = matrix
 
 
 def var_name(i: int) -> str:

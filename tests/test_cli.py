@@ -511,3 +511,26 @@ def test_descriptors_unknown_state(kequiv_path, capsys):
         capsys, "descriptors", "--model", str(kequiv_path), "--state", "nope", "--dir", "fwd"
     )
     assert code == 2
+
+
+# The subject of a validation error is printed even when its name occurs in
+# the message, as "c" does in "declared" and "e" in "UnknownState".
+
+
+def test_descriptors_unknown_state_named_inside_the_reason(kequiv_path, capsys):
+    code, _, err = run(capsys, "descriptors", "--model", str(kequiv_path), "--state", "e")
+    assert (code, err) == (2, "error: UnknownState: e\n")
+
+
+def test_undeclared_edge_target_named_inside_the_message(tmp_path, capsys):
+    path = tmp_path / "m.kripke"
+    path.write_text("ap: p\ninit: b\nstate b: p\nedge: b c\nedge: b b\n")
+    code, _, err = run(capsys, "check", "--model", str(path), "--formula", "p")
+    assert (code, err) == (2, "error: edge target is not declared: c\n")
+
+
+def test_stray_letter_named_inside_the_reason(tmp_path, capsys):
+    path = tmp_path / "m.kripke"
+    path.write_text("ap: q\ninit: v0\nstate v0: p\nedge: v0 v0\n")
+    code, _, err = run(capsys, "check", "--model", str(path), "--formula", "q")
+    assert (code, err) == (2, "error: UnknownProposition: p\n")

@@ -10,10 +10,7 @@ from intervalmc import (
     enumerate_tracks,
     format_kripke,
     is_track,
-    isomorphic,
     parse_kripke,
-    reach_from,
-    restrict_labels,
     shortest_witness,
     track_label,
     witnessed_descriptors,
@@ -22,6 +19,7 @@ from intervalmc.errors import NotWitnessed, ParseError, ValidationError
 from intervalmc.reductions import CnfFormula, QbfFormula, build_qbf_instance, build_sat_instance
 
 from _instances import random_kripke, random_track, rng_for
+from _structures import isomorphic, reach_from, restrict_labels
 
 
 def desc(v_in, interior, v_fin):
