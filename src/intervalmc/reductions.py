@@ -101,7 +101,9 @@ def _tokenize_dimacs(text: str):
     numbers = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):  # SATLIB's trailer, "%" and then "0", ends the clauses
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             if header is not None:

@@ -374,6 +374,20 @@ def test_gen_sat_header_names_the_variables(tmp_path, capsys):
     assert set(json.loads(out)["stats"]["assignment"]) == {"x1", "x2", "x3"}
 
 
+def test_gen_sat_reads_a_satlib_file_to_its_trailer(tmp_path, capsys):
+    # "%" and then "0" end a SATLIB file; the "0" is no empty clause.
+    dimacs = tmp_path / "uf3.cnf"
+    dimacs.write_text("c SATLIB\np cnf 3 2\n1 -2 3 0\n-1 2 0\n%\n0\n\n")
+    model_out, formula_out = tmp_path / "m.kripke", tmp_path / "f.formula"
+    argv = ("gen-sat", "--dimacs", str(dimacs), "--out-model", str(model_out), "--out-formula", str(formula_out))
+    assert run(capsys, *argv)[0] == 0
+    code, out, _ = run(capsys, "check", "--model", str(model_out), "--formula-file", str(formula_out), "--json")
+    assert code == 1
+    assignment = json.loads(out)["stats"]["assignment"]
+    assert set(assignment) == {"x1", "x2", "x3"}
+    assert all(any(assignment[f"x{abs(v)}"] == (v > 0) for v in c) for c in ((1, -2, 3), (-1, 2)))
+
+
 def test_sat_shaped_structure_without_header_gets_no_assignment(tmp_path, capsys):
     # The shape `gen-sat` builds for one variable, written by hand: only the
     # header line marks a SAT instance.

@@ -42,6 +42,17 @@ def test_parse_dimacs_multiline_clause():
     assert cnf.clauses == ((1, 2, 3), (-1,))
 
 
+# SATLIB's files end with a "%" line and then a "0" line.
+SATLIB_TRAILER = "p cnf 3 2\n1 -2 3 0\n-1 2 0\n%\n0\n\n"
+
+
+def test_parse_dimacs_stops_at_the_satlib_trailer():
+    cnf = parse_dimacs(SATLIB_TRAILER)
+    assert cnf.clauses == ((1, -2, 3), (-1, 2))
+    assert brute_sat(cnf) is True
+    assert parse_qdimacs("p cnf 2 1\ne 1 2 0\n1 2 0\n%\n0\n").matrix.clauses == ((1, 2),)
+
+
 def test_parse_dimacs_out_of_range():
     with pytest.raises(OutOfRangeLiteral):
         parse_dimacs("p cnf 2 1\n3 0\n")

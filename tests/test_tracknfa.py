@@ -1,19 +1,26 @@
-"""The track automata against a reference copy of an earlier version.
+"""The track automata against reference copies of earlier versions.
 
-The reference is the automaton classes as they were before the search
-carried the Kripke state: every node holds the state read last, a `cur`
-method gets it back, and the leaves mark whether a state has been read.
-The `_old_*` drivers are the five search loops that preceded the one
+The first reference is the automaton classes as they were before the
+search carried the Kripke state: every node holds the state read last, a
+`cur` method gets it back, and the leaves mark whether a state has been
+read. The `_old_*` drivers are the five search loops that preceded the one
 breadth-first search (comments aside, and calling each other):
 `_exists_from`, `_ending_states`, the right-extension automaton's
-`_search` and `_min_extension`, and `find_satisfying_track`. Both tests
-below compare the public entry points of `tracknfa` with this copy.
+`_search` and `_min_extension`, and `find_satisfying_track`. The first two
+tests compare the public entry points of `tracknfa` with this copy. The
+second reference, `_tracknfa_by_name`, is the module as it was while the
+search walked state names; `test_numbered_search_matches_the_name_based_module`
+compares with it on structures whose names sort apart from their
+declaration order.
 """
+
+import time
 
 import pytest
 
 from intervalmc import KripkeStructure
-from intervalmc.errors import ValidationError
+from intervalmc.descriptor_checker import model_check_univ
+from intervalmc.errors import BoundTooSmall, ValidationError
 from intervalmc.logic import (
     And,
     Modality,
@@ -25,8 +32,11 @@ from intervalmc.logic import (
     parse_formula,
     prop_letters,
 )
+from intervalmc.oracle import eval_bounded
+from intervalmc.reductions import CnfFormula, brute_sat, build_sat_instance
 from intervalmc.tracknfa import accepts_track, compile_positive, find_satisfying_track
 
+import _tracknfa_by_name as by_name
 from _instances import random_forall_formula, random_kripke, random_positive_formula, random_track, rng_for
 
 
@@ -431,6 +441,89 @@ def test_public_entry_points_match_the_reference():
             queries += 1
             assert accepts_track(new, rho, bound) == _old_accepts_track(old, rho, bound), (K, phi, rho)
     assert queries >= 3000
+
+
+def _shuffled_names(rng, K):
+    # The same structure with its states declared in a random order; with
+    # ten states or more, sorted names (s10 before s2) differ from it too.
+    states = list(K.states)
+    rng.shuffle(states)
+    labels = {s: K.labels[s] for s in states}
+    init = rng.choice(states)
+    return KripkeStructure(ap=K.ap, states=states, edges=K.edges, labels=labels, init=init)
+
+
+def test_numbered_search_matches_the_name_based_module():
+    rng = rng_for("tracknfa-numbered")
+    differences = queries = 0
+    for i in range(300):
+        letters = ("p", "q", "r")
+        declared = letters if i % 4 else letters[:2]  # r labels no state one time in four
+        K = _shuffled_names(rng, random_kripke(rng, min_states=1, max_states=12, letters=declared))
+        bound = rng.randint(3, 7)
+        if i % 2:
+            phi = negate_to_exists(desugar(random_forall_formula(rng, letters, modal_budget=2)))
+        else:
+            phi = desugar(random_positive_formula(rng, letters, modal_budget=3))
+        tracks = [random_track(rng, K, rng.randint(2, bound)) for _ in range(3)]
+        asks = [{}, {"first": rng.choice(K.states)}, {"last": rng.choice(K.states)}]
+        asks += [{"interior": frozenset(rho[1:-1])} for rho in tracks[:2]]
+        for ask in asks:
+            queries += 1
+            differences += find_satisfying_track(K, phi, bound, **ask) != by_name.find_satisfying_track(
+                K, phi, bound, **ask
+            )
+        new, old = compile_positive(K, phi, bound), by_name.compile_positive(K, phi, bound)
+        for rho in tracks:
+            queries += 1
+            differences += accepts_track(new, rho, bound) != by_name.accepts_track(old, rho, bound)
+    assert (differences, queries) == (0, 2400)
+
+
+def _cnf_10_vars(rng, clauses, planted=None):
+    # Random 3-clauses over x1..x10; with `planted`, only clauses that
+    # assignment satisfies.
+    out = []
+    while len(out) < clauses:
+        clause = tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 11), 3))
+        if planted is None or any((lit > 0) == planted[abs(lit)] for lit in clause):
+            out.append(clause)
+    return CnfFormula(10, tuple(out))
+
+
+@pytest.mark.parametrize("satisfiable", [False, True], ids=["unsat", "planted"])
+def test_leaf_of_3000_clauses_is_answered_without_recursion(satisfiable):
+    rng = rng_for(f"tracknfa-deep-{satisfiable}")
+    planted = {v: rng.random() < 0.5 for v in range(1, 11)} if satisfiable else None
+    cnf = _cnf_10_vars(rng, 3000, planted)
+    K, gamma = build_sat_instance(cnf)
+    phi, bound = negate_to_exists(desugar(gamma)), 24
+    start = time.perf_counter()
+    rho = find_satisfying_track(K, phi, bound, first=K.init)
+    assert time.perf_counter() - start < 1.0
+    assert (rho is not None) == brute_sat(cnf) == satisfiable
+    if satisfiable:
+        verdict = model_check_univ(K, gamma)
+        assert not verdict.holds
+        assert accepts_track(compile_positive(K, phi, bound), verdict.counterexample, bound)
+
+
+def test_accepts_track_refuses_a_track_longer_than_the_bound():
+    auto = compile_positive(_looping_start(), parse_formula("<E> q"), 3)
+    with pytest.raises(BoundTooSmall):
+        accepts_track(auto, ("a", "a", "a", "b"), 3)
+
+
+@pytest.mark.parametrize(
+    "text, shortest", [("<A> zz", None), ("p & zz", None), ("<E>(q | zz)", ("a", "a", "a"))]
+)
+def test_undeclared_letter_reads_false(text, shortest):
+    # zz is no letter of the structure: it labels no state.
+    K, phi, bound = _looping_start(), desugar(parse_formula(text)), 5
+    auto = compile_positive(K, phi, bound)
+    for rho in [("a", "b"), ("a", "a", "b"), ("b", "b", "b"), ("a", "a", "a", "a")]:
+        assert accepts_track(auto, rho, bound) == eval_bounded(K, rho, phi, bound), rho
+    assert find_satisfying_track(K, phi, bound) == shortest
 
 
 def _looping_start():
