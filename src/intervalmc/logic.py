@@ -9,8 +9,10 @@ modalities `<A>`, `[A]`, ..., with `~` marking inverses (`<~B>`, `[~A]`).
 Precedence: unary operators bind tightest, then `&`, then `|`, then `->`.
 
 The parser, the printer, desugaring and `compile_prop` keep explicit
-stacks, so nesting depth costs no recursion; `eval_prop` and `_neg_prop`
-still recurse.
+stacks, so nesting depth costs no recursion; `_neg_prop` still recurses.
+Every propositional evaluation goes through `compile_prop`: `val` over a
+descriptor element's label mask, `reductions.brute_sat` over assignments,
+and the engines' leaves over the label masks of `K.numbering()`.
 """
 
 from __future__ import annotations
@@ -486,32 +488,16 @@ def _neg_prop(phi) -> Formula:
 # Propositional evaluation
 
 
-def eval_prop(beta: Formula, letters) -> bool:
-    """Evaluate a Boolean combination with exactly the given letters true."""
-    if isinstance(beta, Prop):
-        return beta.name in letters
-    if isinstance(beta, Const):
-        return beta.value
-    if isinstance(beta, Not):
-        return not eval_prop(beta.sub, letters)
-    if isinstance(beta, And):
-        return eval_prop(beta.left, letters) and eval_prop(beta.right, letters)
-    if isinstance(beta, Or):
-        return eval_prop(beta.left, letters) or eval_prop(beta.right, letters)
-    if isinstance(beta, Implies):
-        return not eval_prop(beta.left, letters) or eval_prop(beta.right, letters)
-    raise NotPropositional(f"modal node in propositional evaluation: {beta!r}")
-
-
 def val(beta: Formula, d: DescriptorElement, K: KripkeStructure) -> bool:
     """Evaluate a Boolean combination over a descriptor element: a letter is
     true iff it labels the endpoints and every interior state, which equals
     its truth on any track the element abstracts.
     """
-    letters = K.labels[d.v_in] & K.labels[d.v_fin]
-    for s in d.interior:
-        letters = letters & K.labels[s]
-    return eval_prop(beta, letters)
+    numbering = K.numbering()
+    mask = -1
+    for s in (d.v_in, d.v_fin, *d.interior):
+        mask &= numbering.labels[numbering.ids[s]]
+    return compile_prop(beta, numbering.letter_bit)(mask)
 
 
 # Negation normal form of a binary node: (is a conjunction, left operand
@@ -525,9 +511,8 @@ _NNF = {
 
 def compile_prop(beta: Formula, letter_bit: dict):
     """Compile a Boolean combination into a test on letter masks: `test(m)`
-    equals `eval_prop(beta, letters)` where `m` sets the bits that
-    `letter_bit` gives the true letters. A letter `letter_bit` lacks reads
-    false.
+    is its truth when exactly the letters whose `letter_bit` bits `m` sets
+    are true. A letter `letter_bit` lacks reads false.
 
     One pass with an explicit stack puts `beta` in negation normal form
     with its and/or chains flattened. Each and/or node keeps its literals

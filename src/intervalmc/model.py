@@ -10,7 +10,8 @@ sorted-name order, so that id order is name order; it holds the label
 masks and the successor and predecessor id lists. The descriptor fixpoint
 `_pairs` runs on these ids, over (endpoint id, interior bitmask) pairs.
 `witnessed_descriptors` and `shortest_witness` convert its result to and
-from state names; the descriptor engine uses it directly.
+from state names; the descriptor engine uses it directly. `enumerate_tracks`
+and the bounded oracle draw their tracks from `extend_tracks`.
 """
 
 from __future__ import annotations
@@ -292,6 +293,30 @@ def shortest_witness(K: KripkeStructure, d: DescriptorElement) -> Track:
     return tuple(reversed(track))
 
 
+def extend_tracks(numbering: Numbering, seeds, max_len: int, forward: bool = True) -> Iterator[tuple]:
+    """Yield every extension of the id tracks `seeds`, all of one length,
+    by one or more states, to the right if `forward` and to the left
+    otherwise, of at most `max_len` states: shortest first, then seed by
+    seed, then lexicographic in the added states from the seed outwards.
+    Depth first within a length, so memory stays linear in the length."""
+    step = numbering.succ if forward else numbering.pred
+    for length in range(len(seeds[0]) + 1, max_len + 1):
+        for seed in seeds:
+            path = list(seed if forward else reversed(seed))  # the moving end last
+            todo = [iter(step[path[-1]])]
+            while todo:
+                for w in todo[-1]:
+                    path.append(w)
+                    if len(path) < length:
+                        todo.append(iter(step[w]))
+                        break
+                    yield tuple(path) if forward else tuple(reversed(path))
+                    path.pop()
+                else:
+                    todo.pop()
+                    path.pop()
+
+
 def enumerate_tracks(
     K: KripkeStructure, max_len: int, start: Optional[str] = None
 ) -> Iterator[Track]:
@@ -302,17 +327,10 @@ def enumerate_tracks(
         raise ValueError("max_len must be at least 2")
     if start is not None and start not in K.labels:
         raise ValidationError("UnknownState", start)
-    starts = (start,) if start is not None else tuple(sorted(K.states))
-    for length in range(2, max_len + 1):
-        # Depth first over the prefixes, so memory stays linear in the length.
-        stack = [(s,) for s in reversed(starts)]
-        while stack:
-            t = stack.pop()
-            if len(t) + 1 == length:
-                for w in K.successors(t[-1]):
-                    yield t + (w,)
-            else:
-                stack += [t + (w,) for w in reversed(K.successors(t[-1]))]
+    numbering = K.numbering()
+    starts = [(numbering.ids[start],)] if start is not None else [(i,) for i in range(len(numbering.names))]
+    for t in extend_tracks(numbering, starts, max_len):
+        yield tuple(numbering.names[i] for i in t)
 
 
 def parse_kripke(text: str) -> KripkeStructure:

@@ -27,7 +27,7 @@ from .logic import (
     Or,
     Prop,
     TRUE,
-    eval_prop,
+    compile_prop,
     is_propositional,
     prop_letters,
 )
@@ -202,11 +202,9 @@ def brute_sat(beta) -> bool:
     letters = sorted(prop_letters(beta))
     if len(letters) > _BRUTE_LIMIT:
         raise TooManyVariables(f"{len(letters)} letters exceed the brute-force limit")
-    for bits in itertools.product((False, True), repeat=len(letters)):
-        true_set = {p for p, b in zip(letters, bits) if b}
-        if eval_prop(beta, true_set):
-            return True
-    return False
+    # Assignment m sets bit i when the i-th letter in sorted order is true.
+    test = compile_prop(beta, {p: 1 << i for i, p in enumerate(letters)})
+    return any(test(m) for m in range(1 << len(letters)))
 
 
 def _cnf_true(cnf: CnfFormula, assignment) -> bool:

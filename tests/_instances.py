@@ -39,6 +39,28 @@ def random_kripke(rng, min_states=1, max_states=4, letters=("p", "q")):
     )
 
 
+def shuffle_declaration(rng, K):
+    """The same structure with its states declared in a random order and a
+    random initial state; with ten states or more, sorted names (s10
+    before s2) differ from numeric order too."""
+    states = list(K.states)
+    rng.shuffle(states)
+    labels = {s: K.labels[s] for s in states}
+    init = rng.choice(states)
+    return KripkeStructure(ap=K.ap, states=states, edges=K.edges, labels=labels, init=init)
+
+
+def sparse_kripke(rng, max_states=12, letters=("p", "q"), max_degree=3):
+    """A structure on s0..s(n-1), n at most `max_states`, each state with 1
+    to `max_degree` successors, declared in a random order."""
+    n = rng.randint(1, max_states)
+    states = [f"s{i}" for i in range(n)]
+    labels = {s: [p for p in letters if rng.random() < 0.55] for s in states}
+    edges = {(s, t) for s in states for t in rng.sample(states, rng.randint(1, min(max_degree, n)))}
+    K = KripkeStructure(ap=letters, states=states, edges=edges, labels=labels, init=states[0])
+    return shuffle_declaration(rng, K)
+
+
 def random_track(rng, K, length):
     track = [rng.choice(K.states)]
     while len(track) < length:

@@ -2,16 +2,18 @@
 walked state names: frozenset labels at the leaves, evaluated with
 `eval_prop`, endpoint and interior sets of names, and every automaton
 holding the structure as `K`. `test_tracknfa` compares the numbered
-module with it; only the imports and this docstring differ from that
-version."""
+module with it; only the imports (`eval_prop` now comes from `_prop`) and
+this docstring differ from that version."""
 
 from __future__ import annotations
 
 from typing import Optional
 
 from intervalmc.errors import BoundTooSmall, NotInFragment, ValidationError
-from intervalmc.logic import And, FormulaTable, Modality, Or, eval_prop, prop_letters
+from intervalmc.logic import And, FormulaTable, Modality, Or, prop_letters
 from intervalmc.model import KripkeStructure, Track, check_track
+
+from _prop import eval_prop
 
 
 class _PropAuto:

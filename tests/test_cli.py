@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -238,13 +239,11 @@ def test_check_bad_formula_exit_two(kequiv_path, capsys):
 
 
 def test_check_too_deep_formula_exit_two(kequiv_path, capsys):
-    # The descriptor engine recurses on the modal nodes of the formula and
-    # the oracle on every node; running out of stack must not exit 1, which
-    # reads as `fails`.
+    # The descriptor engine and the oracle recurse on the modal nodes of the
+    # formula; running out of stack must not exit 1, which reads as `fails`.
     scheduler = kequiv_path.parent / "scheduler.kripke"
-    cases = (("auto", "descriptor", "[A]" * 5000 + " r0"), ("oracle", "oracle", "!" * 5000 + "r0"))
-    for engine, used, deep in cases:
-        argv = ("check", "--model", str(scheduler), "--formula", deep, "--engine", engine)
+    for engine, used in (("auto", "descriptor"), ("oracle", "oracle")):
+        argv = ("check", "--model", str(scheduler), "--formula", "[A]" * 5000 + " r0", "--engine", engine)
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -252,18 +251,43 @@ def test_check_too_deep_formula_exit_two(kequiv_path, capsys):
 
 
 def test_check_deep_negation_chain_gets_a_verdict(kequiv_path, capsys):
-    # The descriptor engine compiles its propositional leaves without
-    # recursion, so a 5,000-deep `!` chain is checked like the letter it
-    # reduces to.
+    # The descriptor engine and the oracle compile their propositional
+    # leaves without recursion, so a 5,000-deep `!` chain is checked like
+    # the letter it reduces to.
     scheduler = str(kequiv_path.parent / "scheduler.kripke")
-    reports = []
-    for formula in ("!" * 5000 + "r0", "r0"):
-        code, out, _ = run(capsys, "check", "--model", scheduler, "--formula", formula, "--json")
-        report = json.loads(out)
-        del report["stats"]["time_ms"]
-        reports.append((code, report))
-    assert reports[0] == reports[1]
-    assert reports[0][0] == 1 and reports[0][1]["engine"] == "descriptor"
+    for engine, used in (("auto", "descriptor"), ("oracle", "oracle")):
+        reports = []
+        for formula in ("!" * 5000 + "r0", "r0"):
+            argv = ("check", "--model", scheduler, "--formula", formula, "--engine", engine, "--json")
+            code, out, _ = run(capsys, *argv)
+            report = json.loads(out)
+            del report["stats"]["time_ms"]
+            reports.append((code, report))
+        assert reports[0] == reports[1]
+        assert reports[0][0] == 1 and reports[0][1]["engine"] == used
+
+
+def test_oracle_checks_a_5000_clause_cnf(tmp_path, capsys):
+    # The negated CNF is one propositional leaf of the oracle, compiled
+    # without recursion; 5,000 random 3-clauses over 10 variables are
+    # unsatisfiable, so the negation holds on every initial track.
+    rng = random.Random("cli-oracle-5000-clauses")
+    lines = ["p cnf 10 5000"]
+    for _ in range(5000):
+        lines.append(" ".join(str(v if rng.random() < 0.5 else -v) for v in rng.sample(range(1, 11), 3)) + " 0")
+    dimacs, model_out, formula_out = tmp_path / "f.cnf", tmp_path / "m.kripke", tmp_path / "f.formula"
+    dimacs.write_text("\n".join(lines) + "\n")
+    argv = ("gen-sat", "--dimacs", str(dimacs), "--out-model", str(model_out), "--out-formula", str(formula_out))
+    assert run(capsys, *argv)[0] == 0
+    argv = ("check", "--model", str(model_out), "--formula-file", str(formula_out), "--json")
+    code, out, _ = run(capsys, *argv, "--engine", "oracle", "--bound", "12")
+    report = json.loads(out)
+    assert (code, report["result"], report["counterexample"]) == (4, "approximate-true", None)
+    # One track per choice of the first k <= 10 variables over k steps from
+    # w0; the 11th step stays on the last variable's state.
+    assert report["stats"]["initial_tracks"] == sum(2 ** min(k, 10) for k in range(1, 12))
+    code, out, _ = run(capsys, *argv)
+    assert (code, json.loads(out)["result"]) == (0, "holds")
 
 
 def test_check_builds_one_formula_table_per_engine(kequiv_path, capsys, monkeypatch):

@@ -16,7 +16,6 @@ from intervalmc.logic import (
     classify,
     compile_prop,
     desugar,
-    eval_prop,
     formula_size,
     is_propositional,
     modal_count,
@@ -28,6 +27,7 @@ from intervalmc.logic import (
     val,
 )
 
+from _prop import eval_prop
 from _instances import (
     random_ab_formula,
     random_beta,

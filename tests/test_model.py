@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intervalmc import (
     DescriptorElement,
@@ -356,6 +357,40 @@ def test_enumerate_tracks_matches_product_reference():
                     if is_track(K, t) and (start is None or t[0] == start)
                 ]
                 assert list(enumerate_tracks(K, max_len, start=start)) == expected
+
+
+@st.composite
+def shuffled_structures(draw):
+    """Structures on s0..s(n-1), n <= 12, declared in a drawn order; from
+    s10 on, sorted names (s10 before s2) differ from numeric order too."""
+    states = [f"s{i}" for i in range(draw(st.integers(1, 12)))]
+    edges = set()
+    for s in states:
+        edges |= {(s, t) for t in draw(st.lists(st.sampled_from(states), min_size=1, max_size=3, unique=True))}
+    return KripkeStructure(
+        ap=("p", "q", "r"),
+        states=draw(st.permutations(states)),
+        edges=edges,
+        labels={s: draw(st.sets(st.sampled_from(("p", "q")))) for s in states},
+        init=draw(st.sampled_from(states)),
+    )
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=60)
+@given(shuffled_structures(), st.integers(2, 4))
+def test_enumerate_tracks_and_round_trip_on_shuffled_declarations(K, max_len):
+    # Brute force: every track of each length, from the tracks one state
+    # shorter, then sorted by (length, names).
+    layer, expected = [(s,) for s in K.states], []
+    for _ in range(max_len - 1):
+        layer = [t + (w,) for t in layer for w in K.states if (t[-1], w) in K.edges]
+        expected += layer
+    expected.sort(key=lambda t: (len(t), t))
+    assert list(enumerate_tracks(K, max_len)) == expected
+    for v in K.states:
+        assert list(enumerate_tracks(K, max_len, start=v)) == [t for t in expected if t[0] == v]
+    again = parse_kripke(format_kripke(K))
+    assert again == K and again.states == K.states
 
 
 def test_enumerate_tracks_rejects_small_bound(kequiv):

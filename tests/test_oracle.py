@@ -31,7 +31,9 @@ from _instances import (
     random_positive_formula,
     random_track,
     rng_for,
+    sparse_kripke,
 )
+import _oracle_by_name as by_name
 
 
 # ---------------------------------------------------------------------------
@@ -819,6 +821,29 @@ def test_first_failing_track_far_down_a_chain_is_fast():
     assert verdict.failing_track == ("k0", "k3") + tuple(f"c{i}" for i in range(1, 10))
 
 
+def test_long_bound_does_not_sink_a_short_witness():
+    # 16 states of 4 successors each, the initial state labelled with every
+    # letter. `<A><D> p` holds on every initial track: from each last state
+    # a track of 4 states already holds p inside. On this draw, extensions
+    # walked depth first went down towards the default bound (1,032) first
+    # and gave no verdict within 10 s.
+    import time
+
+    from intervalmc import KripkeStructure
+
+    rng = rng_for("oracle-long-bound-2")
+    states = [f"s{i}" for i in range(16)]
+    labels = {s: [p for p in "pqr" if s == "s0" or rng.random() < 0.55] for s in states}
+    edges = {(s, t) for s in states for t in rng.sample(states, 4)}
+    K = KripkeStructure(ap="pqr", states=states, edges=edges, labels=labels, init="s0")
+    phi = desugar(parse_formula("<A><D> p"))
+    assert default_bound(K, phi) == 1032
+    started = time.perf_counter()
+    verdict = model_check_bounded(K, phi, 1032)
+    assert time.perf_counter() - started < 1.0
+    assert (verdict.value, verdict.failing_track, verdict.initial_tracks) == (True, None, 2**63 - 1)
+
+
 def test_length_dependent_root_on_scheduler_at_default_bound(scheduler):
     # `<~B><D> true` holds on a track only if it can be extended within the
     # bound: it first fails on the first initial track of the bound's length.
@@ -830,3 +855,56 @@ def test_length_dependent_root_on_scheduler_at_default_bound(scheduler):
     while len(first) < bound:
         first += (scheduler.successors(first[-1])[0],)
     assert (verdict.value, verdict.failing_track, verdict.initial_tracks) == (False, first, 2**63 - 1)
+
+
+# ---------------------------------------------------------------------------
+# The evaluator on numbered states, against the name-based module.
+
+
+def _whole_track_formula(rng, depth):
+    """Mostly nodes that need the whole track: letters, Boolean nodes with
+    a letter, and `<B>`/`<E>` over such nodes, some under `<A>`, `<~A>`,
+    `<~B>` or `<~E>`, which then walk every extension."""
+    r = rng.random()
+    if depth == 0 or r < 0.2:
+        return random_beta(rng, ("p", "q", "r"), 1)
+    node = rng.choice((Diamond, Box))
+    if r < 0.5:
+        return node(rng.choice((Modality.B, Modality.E)), _whole_track_formula(rng, depth - 1))
+    if r < 0.7:
+        mod = rng.choice((Modality.A, Modality.ABAR, Modality.BBAR, Modality.EBAR))
+        return node(mod, _whole_track_formula(rng, depth - 1))
+    if r < 0.8:
+        return Not(_whole_track_formula(rng, depth - 1))
+    return rng.choice((And, Or, Implies))(random_beta(rng, ("p", "q", "r"), 1), _whole_track_formula(rng, depth - 1))
+
+
+def test_numbered_oracle_matches_the_name_based_module():
+    # Structures of up to 12 states declared in a random order, so that
+    # id order (sorted names, s10 before s2) is neither declaration order
+    # nor numeric order; one time in four, `r` is no letter of the
+    # structure and reads false.
+    from intervalmc.logic import subformulas
+
+    rng = rng_for("oracle-numbered")
+    draws = (_whole_track_formula, _endpoint_biased_formula, _length_biased_formula)
+    differences = evaluations = track_roots = failing = 0
+    for i in range(300):
+        K = sparse_kripke(rng, max_states=12, letters=("p", "q", "r") if i % 4 else ("p", "q"))
+        bound = rng.randint(2, 6)
+        phi = draws[i % 3](rng, 3)
+        new, old = model_check_bounded(K, phi, bound), by_name.model_check_bounded(K, phi, bound)
+        differences += (new.value, new.failing_track, new.initial_tracks) != (
+            old.value,
+            old.failing_track,
+            old.initial_tracks,
+        )
+        ev, ref = BoundedEvaluator(K, bound), by_name.BoundedEvaluator(K, bound)
+        track_roots += ev.deps[ev.compile(phi)] == TRACK
+        failing += not old.value
+        tracks = list(enumerate_tracks(K, min(bound, 4)))
+        for f in dict.fromkeys(subformulas(phi)):
+            evaluations += len(tracks)
+            differences += sum(ev.eval(t, f) != ref.eval(t, f) for t in tracks)
+    assert differences == 0
+    assert track_roots >= 80 and failing >= 80 and evaluations >= 80_000, (track_roots, failing, evaluations)

@@ -26,18 +26,25 @@ from intervalmc.logic import (
     Modality,
     Or,
     desugar,
-    eval_prop,
     is_propositional,
     negate_to_exists,
     parse_formula,
     prop_letters,
 )
 from intervalmc.oracle import eval_bounded
-from intervalmc.reductions import CnfFormula, brute_sat, build_sat_instance
+from intervalmc.reductions import CnfFormula, brute_sat, build_sat_instance, cnf_to_formula
 from intervalmc.tracknfa import accepts_track, compile_positive, find_satisfying_track
 
 import _tracknfa_by_name as by_name
-from _instances import random_forall_formula, random_kripke, random_positive_formula, random_track, rng_for
+from _prop import eval_prop
+from _instances import (
+    random_forall_formula,
+    random_kripke,
+    random_positive_formula,
+    random_track,
+    rng_for,
+    shuffle_declaration,
+)
 
 
 class _OldPropAuto:
@@ -443,23 +450,13 @@ def test_public_entry_points_match_the_reference():
     assert queries >= 3000
 
 
-def _shuffled_names(rng, K):
-    # The same structure with its states declared in a random order; with
-    # ten states or more, sorted names (s10 before s2) differ from it too.
-    states = list(K.states)
-    rng.shuffle(states)
-    labels = {s: K.labels[s] for s in states}
-    init = rng.choice(states)
-    return KripkeStructure(ap=K.ap, states=states, edges=K.edges, labels=labels, init=init)
-
-
 def test_numbered_search_matches_the_name_based_module():
     rng = rng_for("tracknfa-numbered")
     differences = queries = 0
     for i in range(300):
         letters = ("p", "q", "r")
         declared = letters if i % 4 else letters[:2]  # r labels no state one time in four
-        K = _shuffled_names(rng, random_kripke(rng, min_states=1, max_states=12, letters=declared))
+        K = shuffle_declaration(rng, random_kripke(rng, min_states=1, max_states=12, letters=declared))
         bound = rng.randint(3, 7)
         if i % 2:
             phi = negate_to_exists(desugar(random_forall_formula(rng, letters, modal_budget=2)))
@@ -506,6 +503,16 @@ def test_leaf_of_3000_clauses_is_answered_without_recursion(satisfiable):
         verdict = model_check_univ(K, gamma)
         assert not verdict.holds
         assert accepts_track(compile_positive(K, phi, bound), verdict.counterexample, bound)
+
+
+@pytest.mark.parametrize("satisfiable", [False, True], ids=["unsat", "planted"])
+def test_brute_sat_of_a_3000_clause_formula_needs_no_recursion(satisfiable):
+    # The same CNFs as above, given to `brute_sat` as a formula: each
+    # assignment is tested by the compiled leaf, not by recursion.
+    rng = rng_for(f"tracknfa-deep-{satisfiable}")
+    planted = {v: rng.random() < 0.5 for v in range(1, 11)} if satisfiable else None
+    cnf = _cnf_10_vars(rng, 3000, planted)
+    assert brute_sat(cnf_to_formula(cnf)) == brute_sat(cnf) == satisfiable
 
 
 def test_accepts_track_refuses_a_track_longer_than_the_bound():
