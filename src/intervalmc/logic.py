@@ -8,8 +8,8 @@ Surface syntax (ASCII): letters `[a-zA-Z_][a-zA-Z0-9_]*`, constants
 modalities `<A>`, `[A]`, ..., with `~` marking inverses (`<~B>`, `[~A]`).
 Precedence: unary operators bind tightest, then `&`, then `|`, then `->`.
 
-The parser, the printer, desugaring and `compile_prop` keep explicit
-stacks, so nesting depth costs no recursion; `_neg_prop` still recurses.
+The parser, the printer, desugaring, `_neg_prop` and `compile_prop` keep
+explicit stacks, so nesting depth costs no recursion.
 Every propositional evaluation goes through `compile_prop`: `val` over a
 descriptor element's label mask, `reductions.brute_sat` over assignments,
 and the engines' leaves over the label masks of `K.numbering()`.
@@ -469,19 +469,25 @@ def _outside(f) -> NotInFragment:
 
 
 def _neg_prop(phi) -> Formula:
-    if isinstance(phi, Prop):
-        return Not(phi)
-    if isinstance(phi, Const):
-        return FALSE if phi.value else TRUE
-    if isinstance(phi, Not):
-        return phi.sub
-    if isinstance(phi, And):
-        return Or(_neg_prop(phi.left), _neg_prop(phi.right))
-    if isinstance(phi, Or):
-        return And(_neg_prop(phi.left), _neg_prop(phi.right))
-    if isinstance(phi, Implies):
-        return And(phi.left, _neg_prop(phi.right))
-    raise NotPropositional(f"not a propositional node: {phi!r}")
+    # Postorder on a stack, a binary node coming back as a 1-tuple once its
+    # operands' negations are on `negs`; a `Not` ends the descent.
+    todo, negs = [phi], []
+    while todo:
+        f = todo.pop()
+        if isinstance(f, tuple):
+            right, left = negs.pop(), negs.pop()
+            negs.append((Or if isinstance(f[0], And) else And)(left, right))
+        elif isinstance(f, Prop):
+            negs.append(Not(f))
+        elif isinstance(f, Const):
+            negs.append(FALSE if f.value else TRUE)
+        elif isinstance(f, Not):
+            negs.append(f.sub)
+        elif isinstance(f, _BINARY):  # `a -> b` as `!a | b`, so that its negation keeps `a`
+            todo += ((f,), f.right, Not(f.left) if isinstance(f, Implies) else f.left)
+        else:
+            raise NotPropositional(f"not a propositional node: {f!r}")
+    return negs.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,27 @@ def test_check_input_error_exit_two(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--model", "{bad}", "--formula", "p"),
+        ("check", "--model", "{kequiv}", "--formula-file", "{bad}"),
+        ("gen-sat", "--dimacs", "{bad}", "--out-model", "{out}/m", "--out-formula", "{out}/f"),
+        ("gen-qbf", "--qdimacs", "{bad}", "--out-model", "{out}/m", "--out-formula", "{out}/f"),
+        ("descriptors", "--model", "{bad}", "--state", "v0"),
+    ],
+    ids=["check-model", "check-formula-file", "gen-sat", "gen-qbf", "descriptors"],
+)
+def test_input_that_is_not_utf8_exit_two(argv, kequiv_path, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe")
+    paths = {"bad": bad, "kequiv": kequiv_path, "out": tmp_path}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "utf-8" in err
+    assert not (tmp_path / "m").exists()
+
+
 def test_check_bad_bound_exit_two(kequiv_path, capsys):
     code, _, err = run(
         capsys,
@@ -288,6 +309,33 @@ def test_oracle_checks_a_5000_clause_cnf(tmp_path, capsys):
     assert report["stats"]["initial_tracks"] == sum(2 ** min(k, 10) for k in range(1, 12))
     code, out, _ = run(capsys, *argv)
     assert (code, json.loads(out)["result"]) == (0, "holds")
+
+
+def test_box_over_a_5000_clause_cnf_gets_one_verdict_from_both_engines(tmp_path, capsys):
+    # `[A]` over the CNF of `test_oracle_checks_a_5000_clause_cnf`, without
+    # the `!` that `gen-sat` puts in front: dualizing it for the descriptor
+    # engine negates the 5,000-clause conjunction without recursion. The
+    # CNF is unsatisfiable, so the box fails; each engine gives its own
+    # counterexample, which the CLI checks is an initial track.
+    rng = random.Random("cli-oracle-5000-clauses")
+    lines = ["p cnf 10 5000"]
+    for _ in range(5000):
+        lines.append(" ".join(str(v if rng.random() < 0.5 else -v) for v in rng.sample(range(1, 11), 3)) + " 0")
+    dimacs, model_out, formula_out = tmp_path / "f.cnf", tmp_path / "m.kripke", tmp_path / "f.formula"
+    dimacs.write_text("\n".join(lines) + "\n")
+    argv = ("gen-sat", "--dimacs", str(dimacs), "--out-model", str(model_out), "--out-formula", str(formula_out))
+    assert run(capsys, *argv)[0] == 0
+    negated = formula_out.read_text().strip()
+    assert negated.startswith("!(") and negated.endswith(")")
+    box = tmp_path / "box.formula"
+    box.write_text("[A] " + negated[1:] + "\n")
+    reports = {}
+    for engine in ("auto", "class"):
+        argv = ("check", "--model", str(model_out), "--formula-file", str(box), "--engine", engine, "--json")
+        code, out, _ = run(capsys, *argv)
+        report = json.loads(out)
+        reports[report["engine"]] = (code, report["result"], bool(report["counterexample"]))
+    assert reports == {"descriptor": (1, "fails", True), "class": (1, "fails", True)}
 
 
 def test_check_builds_one_formula_table_per_engine(kequiv_path, capsys, monkeypatch):

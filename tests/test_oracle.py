@@ -908,3 +908,45 @@ def test_numbered_oracle_matches_the_name_based_module():
             differences += sum(ev.eval(t, f) != ref.eval(t, f) for t in tracks)
     assert differences == 0
     assert track_roots >= 80 and failing >= 80 and evaluations >= 80_000, (track_roots, failing, evaluations)
+
+
+def test_oracle_matches_the_name_based_module_at_longer_bounds(scheduler):
+    # At bounds 8-20 the breadth-first walks over (state, length) pairs run
+    # through many lengths, and a length-dependent node has a memo entry
+    # per length; every fourth case is on the bundled scheduler. Draws
+    # that enumerate whole tracks up to the bound (a root that needs the
+    # whole track, or a modal node other than `<B>` and `<E>` over an
+    # operand that does) take time exponential in the bound in both
+    # modules; the differential at bounds 2-6 above covers them.
+    from intervalmc.logic import subformulas
+    from intervalmc.oracle import LENGTH
+
+    rng = rng_for("oracle-longer-bounds")
+    named = [desugar(parse_formula(f)) for f in ("[~B] <B> true", "<~B><D> true", "[~E] <E> true")]
+    differences = evaluations = by_length = failing = cases = 0
+    while cases < 300:
+        K = scheduler if cases % 4 == 0 else sparse_kripke(rng, max_states=12)
+        bound = rng.randint(8, 20)
+        phi = named[cases % 3] if cases % 2 else _length_biased_formula(rng, 3)
+        ev, ref = BoundedEvaluator(K, bound), by_name.BoundedEvaluator(K, bound)
+        root = ev.compile(phi)
+        if ev.deps[root] == TRACK or any(
+            isinstance(kind, Modality) and kind not in (Modality.B, Modality.E) and ev.deps[a] == TRACK
+            for kind, a, _ in ev._nodes
+        ):
+            continue
+        cases += 1
+        new, old = model_check_bounded(K, phi, bound), by_name.model_check_bounded(K, phi, bound)
+        differences += (new.value, new.failing_track, new.initial_tracks) != (
+            old.value,
+            old.failing_track,
+            old.initial_tracks,
+        )
+        by_length += bool(ev.deps[root] & LENGTH)
+        failing += not old.value
+        tracks = list(enumerate_tracks(K, 4))
+        for f in dict.fromkeys(subformulas(phi)):
+            evaluations += len(tracks)
+            differences += sum(ev.eval(t, f) != ref.eval(t, f) for t in tracks)
+    assert differences == 0
+    assert by_length >= 150 and failing >= 100 and evaluations >= 100_000, (by_length, failing, evaluations)
