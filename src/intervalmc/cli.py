@@ -33,7 +33,7 @@ SAT_HEADER = "# gen-sat:"
 
 
 def _read(path):
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:  # drops a byte order mark
         return handle.read()
 
 

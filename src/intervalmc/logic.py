@@ -8,7 +8,7 @@ Surface syntax (ASCII): letters `[a-zA-Z_][a-zA-Z0-9_]*`, constants
 modalities `<A>`, `[A]`, ..., with `~` marking inverses (`<~B>`, `[~A]`).
 Precedence: unary operators bind tightest, then `&`, then `|`, then `->`.
 
-The parser, the printer, desugaring, `_neg_prop` and `compile_prop` keep
+The parser, the printer, desugaring, dualization and `compile_prop` keep
 explicit stacks, so nesting depth costs no recursion.
 Every propositional evaluation goes through `compile_prop`: `val` over a
 descriptor element's label mask, `reductions.brute_sat` over assignments,
@@ -429,18 +429,20 @@ def classify(phi: Formula) -> Fragment:
 
 
 def negate_to_exists(psi: Formula) -> Formula:
-    """Equivalent of the negation of a universal-fragment formula, with
-    boxes dualized to diamonds, conjunctions to disjunctions, and negation
-    pushed down to the propositional leaves. At most doubles the size.
-    NotInFragment when `psi` is not in ForallAABE.
+    """Equivalent of the negation of a universal-fragment formula: boxes
+    become diamonds, conjunctions disjunctions, and each maximal Boolean
+    operand is negated whole, as `!x`, or as `y` when it is `!y`. Every
+    engine compiles such an operand with `compile_prop`, which pushes the
+    negation down. At most doubles the size. NotInFragment when `psi` is
+    not in ForallAABE.
 
     One postorder pass with a stack that holds, per operand, its negation,
-    or None while it is propositional: such an operand is negated only
-    where a modal parent needs it, or at the root.
+    or None while it is Boolean: such an operand is negated only where a
+    modal parent needs it, or at the root.
     """
     order = list(subformulas(psi))
     if not any(isinstance(f, _MODAL) for f in order):
-        return _neg_prop(psi)
+        return _not(psi)
     negs: list = []
     for f in order:
         if isinstance(f, _BINARY):
@@ -450,16 +452,16 @@ def negate_to_exists(psi: Formula) -> Formula:
                 continue
             if not isinstance(f, And):
                 raise _outside(f)
-            negs.append(Or(_neg_prop(f.left) if x is None else x, _neg_prop(f.right) if y is None else y))
+            negs.append(Or(_not(f.left) if x is None else x, _not(f.right) if y is None else y))
         elif isinstance(f, _MODAL):
             x = negs.pop()
             if isinstance(f, Diamond) or f.mod not in _EXISTS_MODS:
                 raise _outside(f)
-            negs.append(Diamond(f.mod, _neg_prop(f.sub) if x is None else x))
+            negs.append(Diamond(f.mod, _not(f.sub) if x is None else x))
         elif isinstance(f, Not):
             if negs[-1] is not None:
                 raise _outside(f)
-        else:  # a leaf, or not a formula, which `_neg_prop` refuses
+        else:  # a leaf; a non-formula fails where a `FormulaTable` first takes it
             negs.append(None)
     return negs.pop()
 
@@ -468,26 +470,8 @@ def _outside(f) -> NotInFragment:
     return NotInFragment(f"{type(f).__name__} node outside the ForallAABE fragment")
 
 
-def _neg_prop(phi) -> Formula:
-    # Postorder on a stack, a binary node coming back as a 1-tuple once its
-    # operands' negations are on `negs`; a `Not` ends the descent.
-    todo, negs = [phi], []
-    while todo:
-        f = todo.pop()
-        if isinstance(f, tuple):
-            right, left = negs.pop(), negs.pop()
-            negs.append((Or if isinstance(f[0], And) else And)(left, right))
-        elif isinstance(f, Prop):
-            negs.append(Not(f))
-        elif isinstance(f, Const):
-            negs.append(FALSE if f.value else TRUE)
-        elif isinstance(f, Not):
-            negs.append(f.sub)
-        elif isinstance(f, _BINARY):  # `a -> b` as `!a | b`, so that its negation keeps `a`
-            todo += ((f,), f.right, Not(f.left) if isinstance(f, Implies) else f.left)
-        else:
-            raise NotPropositional(f"not a propositional node: {f!r}")
-    return negs.pop()
+def _not(phi) -> Formula:
+    return phi.sub if isinstance(phi, Not) else Not(phi)
 
 
 # ---------------------------------------------------------------------------

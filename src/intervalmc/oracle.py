@@ -19,7 +19,8 @@ it does not depend on that part (`_at`): `<B>` and `<E>` range over the
 shorter lengths; `<A>` and `<~A>` over every track from the state if the
 operand needs the whole track; else these, `<~B>` and `<~E>` walk the
 states at the moving end breadth first, once per state, or per state and
-length if the operand depends on the length (`_walk`).
+length if the operand depends on the length (`_walk`); a `<~B>` or `<~E>`
+walk that meets no witness settles its node at every key it walked.
 
 `model_check_bounded` evaluates every initial track, shortest first, if
 the root needs the whole track. Otherwise it walks the last states from
@@ -197,10 +198,15 @@ class BoundedEvaluator:
                         out = b
                         break
             else:
+                walked = []
                 for f, l, n in self._walk(kind, first, last, length, self.deps[a] & LENGTH):
                     if self._at(a, f, l, n) == b:
                         out = b
                         break
+                    walked.append((f, l, n))
+                else:  # `<~B>`/`<~E>` at a walked key, length included, ranges over part of this walk
+                    for f, l, n in walked if kind is _BBAR or kind is _EBAR else ():
+                        memo[(f if dep & FIRST else None, l if dep & LAST else None, n)] = out
         memo[key] = out
         return out
 

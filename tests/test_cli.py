@@ -205,6 +205,19 @@ def test_check_oracle_length_dependent_root_answers_fast(kequiv_path, capsys):
     assert (code, report["result"], report["bound"]) == (4, "approximate-false", 408)
 
 
+def test_check_oracle_box_over_every_extension_answers_fast(kequiv_path, capsys):
+    # `[~B] <B> true` holds everywhere, so no walk over the extensions of a
+    # key stops early; a walk that finds nothing settles `<~B>` at every
+    # key it walked, so each (last state, length) is walked from once.
+    scheduler = kequiv_path.parent / "scheduler.kripke"
+    argv = ("check", "--model", str(scheduler), "--formula", "[~B] <B> true", "--engine", "oracle", "--json")
+    started = time.perf_counter()
+    code, out, _ = run(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    report = json.loads(out)
+    assert (code, report["result"], report["bound"]) == (4, "approximate-true", 306)
+
+
 def test_check_input_error_exit_two(tmp_path, capsys):
     missing = tmp_path / "missing.kripke"
     code, _, err = run(capsys, "check", "--model", str(missing), "--formula", "p")
@@ -235,6 +248,35 @@ def test_input_that_is_not_utf8_exit_two(argv, kequiv_path, tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "utf-8" in err
     assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("check", "--model", "{input}", "--formula", "p"), "kequiv"),
+        (("check", "--model", "{kequiv}", "--formula-file", "{input}"), "[A] p & [B] q\n"),
+        (("gen-sat", "--dimacs", "{input}", "--out-model", "{out}m", "--out-formula", "{out}f"), "p cnf 2 1\n1 -2 0\n"),
+        (
+            ("gen-qbf", "--qdimacs", "{input}", "--out-model", "{out}m", "--out-formula", "{out}f"),
+            "p cnf 2 1\ne 1 0\na 2 0\n1 -2 0\n",
+        ),
+        (("descriptors", "--model", "{input}", "--state", "v0"), "kequiv"),
+    ],
+    ids=["check-model", "check-formula-file", "gen-sat", "gen-qbf", "descriptors"],
+)
+def test_input_with_a_byte_order_mark_reads_as_without(argv, text, kequiv_path, tmp_path, capsys):
+    # Some editors start a UTF-8 file with the mark U+FEFF.
+    text = kequiv_path.read_text() if text == "kequiv" else text
+    outcomes = []
+    for prefix in ("", "\ufeff"):
+        source, out = tmp_path / f"input{len(prefix)}", tmp_path / f"out{len(prefix)}-"
+        source.write_text(prefix + text, encoding="utf-8")
+        paths = {"input": source, "kequiv": kequiv_path, "out": out}
+        code, stdout, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        stdout = [line for line in stdout.splitlines() if not line.startswith("stats.time_ms")]
+        outcomes.append((code, stdout, err, sorted(p.read_text() for p in tmp_path.glob(f"{out.name}*"))))
+    assert outcomes[0][0] in (0, 1) and outcomes[0][1]
+    assert outcomes[0] == outcomes[1]
 
 
 def test_check_bad_bound_exit_two(kequiv_path, capsys):

@@ -178,7 +178,7 @@ def test_classify_stable_under_desugar():
 def test_negate_to_exists_examples():
     assert negate_to_exists(parse_formula("[A] p & [B] q")) == parse_formula("<A> !p | <B> !q")
     assert negate_to_exists(parse_formula("p")) == parse_formula("!p")
-    assert negate_to_exists(parse_formula("[A](!r0 | e0)")) == parse_formula("<A>(r0 & !e0)")
+    assert negate_to_exists(parse_formula("[A](!r0 | e0)")) == parse_formula("<A> !(!r0 | e0)")
 
 
 def test_negate_to_exists_eliminates_double_negation():
