@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 
 from . import class_checker, descriptor_checker, logic, model, oracle, reductions
 from .errors import IntervalMCError
@@ -56,6 +57,9 @@ def _emit(report, as_json):
 
 
 def cmd_check(args) -> int:
+    if args.bound is not None and args.bound < 2:
+        print("error: --bound must be at least 2", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     text = _read(args.model)
     K = model.parse_kripke(text)
     phi = _load_formula(args)
@@ -80,9 +84,6 @@ def cmd_check(args) -> int:
         result, counterexample, stats = verdict.result, verdict.counterexample, verdict.stats
     else:
         bound = args.bound if args.bound is not None else oracle.default_bound(K, desugared)
-        if bound < 2:
-            print("error: --bound must be at least 2", file=sys.stderr)
-            return EXIT_INPUT_ERROR
         bv = oracle.model_check_bounded(K, desugared, bound)
         counterexample = None
         stats = {"initial_tracks": bv.initial_tracks}
@@ -124,7 +125,11 @@ def cmd_check(args) -> int:
 def cmd_generate(args) -> int:
     # The parser and builder are named, not bound, so that they are looked
     # up in `reductions` when the command runs.
-    instance = getattr(reductions, args.parse)(_read(args.source))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        instance = getattr(reductions, args.parse)(_read(args.source))
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     K, phi = getattr(reductions, args.build)(instance)
     header = ""
     if args.command == "gen-sat":
@@ -169,52 +174,65 @@ def cmd_descriptors(args) -> int:
     return EXIT_HOLDS
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("check", "gen-sat", "gen-qbf", "classify", "descriptors")
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, given `command`, of that one only."""
     parser = argparse.ArgumentParser(
         prog="intervalmc",
         description="Model checking for interval temporal logic fragments over finite Kripke structures.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # A lone subcommand keeps the full list in the usage line that an error prints.
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    wanted = COMMANDS if command is None else (command,)
 
-    check = sub.add_parser("check", help="model check a formula against a structure")
-    check.add_argument("--model", required=True)
-    group = check.add_mutually_exclusive_group(required=True)
-    group.add_argument("--formula")
-    group.add_argument("--formula-file")
-    check.add_argument(
-        "--engine", choices=("auto", "descriptor", "class", "oracle"), default="auto"
-    )
-    check.add_argument("--bound", type=int)
-    check.add_argument("--json", action="store_true")
-    check.set_defaults(func=cmd_check)
+    if "check" in wanted:
+        check = sub.add_parser("check", help="model check a formula against a structure")
+        check.add_argument("--model", required=True)
+        group = check.add_mutually_exclusive_group(required=True)
+        group.add_argument("--formula")
+        group.add_argument("--formula-file")
+        check.add_argument(
+            "--engine", choices=("auto", "descriptor", "class", "oracle"), default="auto"
+        )
+        check.add_argument("--bound", type=int)
+        check.add_argument("--json", action="store_true")
+        check.set_defaults(func=cmd_check)
 
     generators = (
         ("gen-sat", "DIMACS", "parse_dimacs", "build_sat_instance"),
         ("gen-qbf", "QDIMACS", "parse_qdimacs", "build_qbf_instance"),
     )
     for name, kind, parse, build in generators:
-        gen = sub.add_parser(name, help=f"build a checking instance from a {kind} file")
-        gen.add_argument(f"--{kind.lower()}", dest="source", metavar=kind, required=True)
-        gen.add_argument("--out-model", required=True)
-        gen.add_argument("--out-formula", required=True)
-        gen.set_defaults(func=cmd_generate, parse=parse, build=build)
+        if name in wanted:
+            gen = sub.add_parser(name, help=f"build a checking instance from a {kind} file")
+            gen.add_argument(f"--{kind.lower()}", dest="source", metavar=kind, required=True)
+            gen.add_argument("--out-model", required=True)
+            gen.add_argument("--out-formula", required=True)
+            gen.set_defaults(func=cmd_generate, parse=parse, build=build)
 
-    classify_p = sub.add_parser("classify", help="print fragment membership of a formula")
-    classify_p.add_argument("--formula", required=True)
-    classify_p.add_argument("--json", action="store_true")
-    classify_p.set_defaults(func=cmd_classify)
+    if "classify" in wanted:
+        classify_p = sub.add_parser("classify", help="print fragment membership of a formula")
+        classify_p.add_argument("--formula", required=True)
+        classify_p.add_argument("--json", action="store_true")
+        classify_p.set_defaults(func=cmd_classify)
 
-    descr = sub.add_parser("descriptors", help="list witnessed descriptor elements")
-    descr.add_argument("--model", required=True)
-    descr.add_argument("--state", required=True)
-    descr.add_argument("--dir", choices=("fwd", "bwd"), default="fwd")
-    descr.set_defaults(func=cmd_descriptors)
+    if "descriptors" in wanted:
+        descr = sub.add_parser("descriptors", help="list witnessed descriptor elements")
+        descr.add_argument("--model", required=True)
+        descr.add_argument("--state", required=True)
+        descr.add_argument("--dir", choices=("fwd", "bwd"), default="fwd")
+        descr.set_defaults(func=cmd_descriptors)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # A first word that is not a subcommand (an option, a typo, none) gets the full parser.
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except (IntervalMCError, OSError, UnicodeDecodeError) as exc:

@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
+import pathlib
 import random
+import re
+import subprocess
+import sys
 import time
 
 import pytest
 
-from intervalmc import enumerate_tracks, parse_kripke
+from intervalmc import cli, enumerate_tracks, parse_kripke
 from intervalmc.cli import main
 from intervalmc.logic import FormulaTable
 
@@ -296,6 +301,21 @@ def test_check_bad_bound_exit_two(kequiv_path, capsys):
     assert "bound" in err
 
 
+@pytest.mark.parametrize(
+    "formula, engine, bound",
+    [("[A] true", "auto", "1"), ("<A> p", "class", "0")],
+    ids=["auto-to-descriptor", "class"],
+)
+def test_check_bound_below_two_exit_two_for_every_engine(kequiv_path, capsys, formula, engine, bound):
+    argv = ("check", "--model", str(kequiv_path), "--formula", formula, "--engine", engine)
+    code, out, err = run(capsys, *argv, "--bound", bound)
+    assert (code, out, err) == (2, "", "error: --bound must be at least 2\n")
+    # At bound 2 the same line runs, on an exact engine.
+    code, out, _ = run(capsys, *argv, "--bound", "2", "--json")
+    assert code in (0, 1)
+    assert json.loads(out)["engine"] == ("descriptor" if engine == "auto" else engine)
+
+
 def test_check_bad_formula_exit_two(kequiv_path, capsys):
     code, _, err = run(capsys, "check", "--model", str(kequiv_path), "--formula", "<A> <A>")
     assert code == 2
@@ -542,6 +562,23 @@ def test_gen_qbf_flow(tmp_path, capsys):
     assert code == 0
 
 
+def test_gen_qbf_free_variable_warning_is_one_line(tmp_path, capsys):
+    # Variable 1 is free, and is read as the outermost existential: the
+    # instance is the one whose prefix binds it so.
+    written = {}
+    for name, text in (("free", "p cnf 2 1\na 2 0\n1 2 0\n"), ("bound", "p cnf 2 1\ne 1 0\na 2 0\n1 2 0\n")):
+        source, model_out, formula_out = (tmp_path / f"{name}.{ext}" for ext in ("qdimacs", "kripke", "formula"))
+        source.write_text(text)
+        code, _, err = run(
+            capsys, "gen-qbf", "--qdimacs", str(source), "--out-model", str(model_out), "--out-formula", str(formula_out)
+        )
+        assert code == 0, name
+        written[name] = (err, model_out.read_text(), formula_out.read_text())
+    assert written["free"][0] == "warning: free variables [1] treated as outermost existentials\n"
+    assert written["bound"][0] == ""
+    assert written["free"][1:] == written["bound"][1:]
+
+
 def test_gen_sat_malformed_exit_two(tmp_path, capsys):
     dimacs = tmp_path / "bad.cnf"
     dimacs.write_text("p cnf zero files\n")
@@ -662,3 +699,95 @@ def test_stray_letter_named_inside_the_reason(tmp_path, capsys):
     path.write_text("ap: q\ninit: v0\nstate v0: p\nedge: v0 v0\n")
     code, _, err = run(capsys, "check", "--model", str(path), "--formula", "q")
     assert (code, err) == (2, "error: UnknownProposition: p\n")
+
+
+# ---------------------------------------------------------------------------
+# command-line contract: `main` builds only the parser of the subcommand it
+# runs, and that changes no output and no exit code
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # help and usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, re.sub(r'time_ms"?:? [0-9.]+', "time_ms", captured.out), captured.err
+
+
+def test_per_subcommand_parser_matches_the_full_parser(kequiv_path, capsys, monkeypatch):
+    K = str(kequiv_path)
+    lines = [
+        ["--help"],
+        [],
+        ["chek"],
+        ["--json", "check"],
+        ["check", "-h"],
+        ["gen-sat", "-h"],
+        ["gen-qbf", "-h"],
+        ["classify", "-h"],
+        ["descriptors", "-h"],
+        ["check", "--formula", "p"],
+        ["check", "--model", K, "--formula", "p", "--formula-file", "f"],
+        ["check", "--model", K, "--formula", "p", "--engine", "fast"],
+        ["check", "--model", K, "--formula", "p", "extra"],
+        ["check", "--model", K, "--formula", "[A] true", "--json"],
+        ["classify", "--formula", "p & !q"],
+        ["descriptors", "--model", K, "--state", "v0", "--dir", "up"],
+    ]
+    full, asked = cli.build_parser, []
+
+    def recording(command=None):
+        asked.append(command)
+        return full(command)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    per_command = [_outcome(capsys, argv) for argv in lines]
+    assert asked == [argv[0] if argv and argv[0] in cli.COMMANDS else None for argv in lines]
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert [_outcome(capsys, argv) for argv in lines] == per_command
+
+    help_code, help_out, _ = per_command[0]
+    assert help_code == 0
+    assert all(f"    {name}" in help_out for name in cli.COMMANDS)
+    assert [code for code, _, _ in per_command[1:4]] == [2, 2, 2]
+    # An unrecognized argument prints the top-level usage, which names every subcommand.
+    assert "{check,gen-sat,gen-qbf,classify,descriptors}" in per_command[12][2]
+
+
+def test_check_builds_a_parser_with_only_check(kequiv_path, capsys, monkeypatch):
+    full, built = cli.build_parser, []
+
+    def recording(command=None):
+        built.append(full(command))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    code, _, _ = run(capsys, "check", "--model", str(kequiv_path), "--formula", "[A] true")
+    assert code == 0
+    (parser,) = built
+    (subcommands,) = (action for action in parser._actions if action.dest == "command")
+    assert list(subcommands.choices) == ["check"]
+    assert len(next(a for a in full()._actions if a.dest == "command").choices) == len(cli.COMMANDS)
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["intervalmc", "classify", "--formula", "p & !q"])
+    assert main() == 0
+    assert capsys.readouterr().out == "Prop ExistsAABE ForallAABE ABbar\n"
+
+
+def test_python_dash_m_report_matches_main(kequiv_path, capsys):
+    argv = ["check", "--model", str(kequiv_path.parent / "scheduler.kripke"), "--formula", "[E] !(e0 & e1)", "--json"]
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "intervalmc", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    code, out, err = run(capsys, *argv)
+    assert (proc.returncode, proc.stderr) == (code, err) == (1, "")
+    reports = [json.loads(text) for text in (proc.stdout, out)]
+    for report in reports:
+        report["stats"].pop("time_ms")
+    assert reports[0] == reports[1]
+    assert reports[0]["result"] == "fails"
