@@ -4,7 +4,7 @@ generators for end-to-end validation.
 """
 
 from .class_checker import ClassEngine, TrackClass, check_ab, class_of
-from .descriptor_checker import Verdict, check_exists, model_check_univ
+from .descriptor_checker import Verdict, model_check_univ
 from .logic import (
     And,
     Box,

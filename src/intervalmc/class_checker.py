@@ -7,8 +7,8 @@ that hold on it and its last state, so each equivalence class can be
 evaluated once. Classes are generated from the length-2 seed tracks and
 closed under single-state extension. A class is a dense int id, keyed by
 mask * |W| + last state id, with the mask over the formula's letters and
-state ids from `KripkeStructure.numbering`. Each node of the formula's
-`logic.FormulaTable` has an int bitset over ids as its truth set.
+state ids from `KripkeStructure.numbering`. A root in a `FormulaTable`
+and each node below it get an int bitset over ids as their truth set.
 
 `<A>` and `<~B>` both search backwards from their operand's truth set over
 one predecessor list, once per node: `<~B>` marks the classes with a
@@ -25,7 +25,7 @@ from itertools import chain, compress, count
 from typing import Optional
 
 from .errors import NotInFragment, ValidationError
-from .logic import _AB_MODS, And, Const, FormulaTable, Implies, Modality, Not, Or, Prop, prop_letters
+from .logic import _AB_MODS, And, Const, Implies, Modality, Not, Or, Prop, prop_letters, table_node
 from .logic import classify  # unused; perfbench/tracer.py counts calls through this name
 from .descriptor_checker import Verdict
 from .model import KripkeStructure, Track, check_track, track_label
@@ -69,13 +69,14 @@ class ClassEngine:
 
     def __init__(self, K: KripkeStructure, psi):
         self.K = K
-        self._table = table = FormulaTable()
-        self._root = table.add(psi)
-        if not table.desugared[self._root]:
+        node = table_node(psi)
+        self._table, self._root = table, root = node.table, node.id
+        if not table.desugared[root]:
             raise ValueError("class engine expects a desugared formula")
-        if any(isinstance(kind, Modality) and kind not in _AB_MODS for kind, _, _ in table.nodes):
+        if not table.modalities(root) <= _AB_MODS:
             raise NotInFragment("class engine expects a formula over <A> and <~B> only")
-        self.pl = frozenset(a for kind, a, _ in table.nodes if kind is Prop)
+        self._below = table.below(root)
+        self.pl = frozenset(table.nodes[i][1] for i in self._below if table.nodes[i][0] is Prop)
         self._letters = sorted(self.pl)
         self._numbering = K.numbering()
         self._build_classes()
@@ -171,9 +172,10 @@ class ClassEngine:
         cid = self._id_of.get(c)
         return cid is not None and bool(sat >> cid & 1)
 
-    def _evaluate(self) -> list:
-        truth, full = [], (1 << len(self._keys)) - 1
-        for kind, a, b in self._table.nodes:
+    def _evaluate(self) -> dict:
+        truth, full = {}, (1 << len(self._keys)) - 1
+        for i in self._below:
+            kind, a, b = self._table.nodes[i]
             if kind is Prop:
                 sat = self._prop[a]
             elif kind is Const:
@@ -203,7 +205,7 @@ class ClassEngine:
                     sat = sum(lasts for seeds, lasts in zip(self._seed_bits, self._by_last) if seeds & sat)
                 if not b:
                     sat ^= full
-            truth.append(sat)
+            truth[i] = sat
         return truth
 
     def find_initial_track(self, sat: int) -> Optional[Track]:

@@ -64,7 +64,8 @@ def cmd_check(args) -> int:
     K = model.parse_kripke(text)
     phi = _load_formula(args)
     desugared = logic.desugar(phi)
-    frag = logic.classify(desugared)
+    root = logic.table_node(desugared)  # the check's one formula table, for every step below
+    frag = logic.classify(root)
 
     engine, names = args.engine, frag.names()
     if engine == "auto":
@@ -77,14 +78,14 @@ def cmd_check(args) -> int:
     started = time.monotonic()
     bound = None
     if engine == "descriptor":
-        verdict = descriptor_checker.model_check_univ(K, desugared)
+        verdict = descriptor_checker.model_check_univ(K, root)
         result, counterexample, stats = verdict.result, verdict.counterexample, verdict.stats
     elif engine == "class":
-        verdict = class_checker.check_ab(K, desugared)
+        verdict = class_checker.check_ab(K, root)
         result, counterexample, stats = verdict.result, verdict.counterexample, verdict.stats
     else:
         bound = args.bound if args.bound is not None else oracle.default_bound(K, desugared)
-        bv = oracle.model_check_bounded(K, desugared, bound)
+        bv = oracle.model_check_bounded(K, root, bound)
         counterexample = None
         stats = {"initial_tracks": bv.initial_tracks}
         if not bv.value and frag.forall_aabe:

@@ -6,11 +6,12 @@ recursion: every nondeterministic choice becomes exhaustive iteration in
 the canonical descriptor order, so verdicts and counterexamples are
 reproducible.
 
-An engine checks one formula, which it compiles once over a
-`FormulaTable`: each maximal propositional subformula becomes a leaf,
-compiled by `compile_prop` into a test on letter masks, and each
+An engine checks one node of a `FormulaTable`: in a check, the dual that
+`negate_to_exists` adds to the table the CLI built. It compiles only the
+nodes below that root, once: each maximal propositional node becomes a
+leaf, compiled by `compile_prop` into a test on letter masks, and each
 disjunction and diamond above the leaves an inner node, with the table's
-node ids as indices, so equal nodes share one. The engine works on the
+node ids as keys, so equal nodes share one. The engine works on the
 structure's state numbering (`KripkeStructure.numbering`): a descriptor
 element is an int triple (first id, interior bitmask, last id), and a
 `DescriptorElement` is built only where one enters or leaves the engine.
@@ -34,23 +35,21 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import NotInFragment, NotWitnessed
+from .errors import NotInFragment
 from .logic import (
-    FormulaTable,
     Modality,
     Or,
-    classify,
+    classify,  # unused; perfbench/tracer.py counts calls through this name
     compile_prop,
     is_propositional,  # unused; perfbench/tracer.py counts calls through this name
     negate_to_exists,
+    table_node,
     val,  # unused; perfbench/tracer.py counts calls through this name
 )
 from .model import (
-    DescriptorElement,
     KripkeStructure,
     Track,
     _element,
-    _ids_of,
     _pair_order,
     _pairs,
     concat_desc,  # unused; perfbench/tracer.py counts calls through this name
@@ -81,10 +80,7 @@ class Verdict(Record):
         return self.result == "holds"
 
 
-# Kinds of compiled nodes besides the diamonds, which use their Modality.
-_LEAF = "leaf"
-_OR = "or"
-_DIAMONDS = frozenset({Modality.A, Modality.ABAR, Modality.B, Modality.E})
+_LEAF = "leaf"  # the kind of a compiled maximal propositional node
 
 
 class _ExistsEngine:
@@ -108,32 +104,24 @@ class _ExistsEngine:
         self.stats = {"check_calls": 0, "memo_hits": 0, "descriptors_explored": 0, "adjacent_witnesses": 0}
 
     def _compile(self, phi):
-        """Fill `_nodes`, indexed by table id: (_LEAF, test, None), (_OR,
-        left, right) or (modality, sub, None) for the root and the nodes
-        below it down to the leaves, None elsewhere. A child's id is below
-        its parents', so one pass down the ids reaches every node after its
-        parents; True marks a node reached but not yet compiled."""
-        table = FormulaTable()
-        self.root = table.add(phi)
-        nodes = self._nodes = [None] * len(table.nodes)
-        nodes[self.root] = True
-        for i in range(self.root, -1, -1):
-            if nodes[i] is None:
+        """Fill `_nodes`, keyed by table id, for the root and the nodes below
+        it down to the leaves: (_LEAF, test, None) for a leaf, else the
+        table's node, an `Or` or a diamond over A, ~A, B or E."""
+        node = table_node(phi)
+        table, self.root = node.table, node.id
+        if not table.exists[self.root]:
+            raise NotInFragment("formula outside the existential fragment")
+        nodes = self._nodes = {}
+        todo = [self.root]
+        while todo:
+            i = todo.pop()
+            if i in nodes:
                 continue
-            kind, a, b = table.nodes[i]
+            kind, a, b = nodes[i] = table.nodes[i]
             if table.prop[i]:
                 nodes[i] = (_LEAF, compile_prop(table.formulas[i], self._numbering.letter_bit), None)
-                continue
-            if kind is Or:
-                nodes[i] = (_OR, a, b)
-                nodes[b] = True
-            elif kind in _DIAMONDS and b:
-                nodes[i] = (kind, a, None)
-            elif isinstance(kind, Modality) and b:
-                raise NotInFragment(f"modality {kind.text} outside the existential fragment")
             else:
-                raise NotInFragment(f"node outside the existential fragment: {table.formulas[i]!r}")
-            nodes[a] = True
+                todo += (a, b) if kind is Or else (a,)
 
     def witnessed(self, v: int, forward: bool = True) -> list:
         """The elements from (to) state id v, in canonical order."""
@@ -191,7 +179,7 @@ class _ExistsEngine:
             if ok is None:
                 ok = self._leaf_values[key] = a(common)
             return (True, self.realize(d)) if ok else (False, None)
-        if kind is _OR:
+        if kind is Or:
             ok, wit = self.check(a, d)
             if ok:
                 return ok, wit
@@ -248,31 +236,14 @@ class _ExistsEngine:
         return False, None
 
 
-def check_exists(
-    K: KripkeStructure, psi, d: DescriptorElement, use_memo: bool = True
-):
-    """True (plus a witness track associated with d) iff some track the
-    element abstracts satisfies the existential-fragment formula.
-    ValidationError("UnknownState") when d names an undeclared state, and
-    NotWitnessed when no track realizes d.
-    """
-    if not classify(psi).exists_aabe:
-        raise NotInFragment("check_exists expects an ExistsAABE formula")
-    engine = _ExistsEngine(K, psi, use_memo=use_memo)
-    first, mask, last = _ids_of(K, d)
-    if (mask, last) not in engine.peels(first):
-        raise NotWitnessed(f"descriptor element {d!r} is not witnessed")
-    return engine.check(engine.root, (first, mask, last))
-
-
 def model_check_univ(K: KripkeStructure, psi, use_memo: bool = True) -> Verdict:
     """Model check a universal-fragment formula: Holds iff no witnessed
     initial descriptor element admits a track satisfying the dualized
     negation; otherwise Fails with the first counterexample track in
     canonical order. NotInFragment (from `negate_to_exists`) outside ForallAABE.
+    The dual joins the table of `psi`, a formula or a `TableNode`.
     """
-    negated = negate_to_exists(psi)
-    engine = _ExistsEngine(K, negated, use_memo=use_memo)
+    engine = _ExistsEngine(K, negate_to_exists(table_node(psi)), use_memo=use_memo)
     for d in engine.witnessed(K.numbering().ids[K.init]):
         ok, wit = engine.check(engine.root, d)
         if ok:

@@ -8,8 +8,12 @@ Surface syntax (ASCII): letters `[a-zA-Z_][a-zA-Z0-9_]*`, constants
 modalities `<A>`, `[A]`, ..., with `~` marking inverses (`<~B>`, `[~A]`).
 Precedence: unary operators bind tightest, then `&`, then `|`, then `->`.
 
-The parser, the printer, desugaring, dualization and `compile_prop` keep
-explicit stacks, so nesting depth costs no recursion.
+A check builds one `FormulaTable`, which sets each node's fragment flags
+as it adds the node: `classify` reads them, `FormulaTable.dual` adds the
+dual next to the formula, and the engines compile a root's nodes. Each
+takes a `TableNode` or a formula, for which it builds a table.
+The parser, the printer, desugaring, the table, dualization and
+`compile_prop` keep explicit stacks, so nesting depth costs no recursion.
 Every propositional evaluation goes through `compile_prop`: `val` over a
 descriptor element's label mask, `reductions.brute_sat` over assignments,
 and the engines' leaves over the label masks of `K.numbering()`.
@@ -139,10 +143,11 @@ def subformulas(phi: Formula) -> Iterator[Formula]:
     while stack:
         node = stack.pop()
         order.append(node)
-        if isinstance(node, _BINARY):
+        kind = type(node)
+        if kind in _BINARY:
             stack.append(node.left)
             stack.append(node.right)
-        elif isinstance(node, _UNARY):
+        elif kind in _UNARY:
             stack.append(node.sub)
     return reversed(order)
 
@@ -164,20 +169,33 @@ def is_propositional(phi: Formula) -> bool:
     return not any(isinstance(f, _MODAL) for f in subformulas(phi))
 
 
+# One bit per modality, for the modality masks of `FormulaTable.mods`.
+_BIT = {m: 1 << k for k, m in enumerate(Modality)}
+_SUGARED = sum(bit for m, bit in _BIT.items() if not m.primitive)
+_EXISTS_MODS = frozenset({Modality.A, Modality.B, Modality.E, Modality.ABAR})
+_AB_MODS = frozenset({Modality.A, Modality.BBAR})
+
+
 class FormulaTable:
     """Hash-consed formulas: node `i` is `(kind, a, b)`, that is `(Prop,
     name, None)`, `(Const, value, None)`, `(Not, sub, None)`, `(And|Or|Implies,
     left, right)` or `(modality, sub, is_diamond)`, with child ids below `i`.
     Keyed by these tuples, equal subformulas share one id and no formula is
-    hashed; built over `subformulas`, depth costs no recursion. `formulas[i]`
-    is a formula of node `i`; `prop[i]` says it has no modality and
-    `desugared[i]` no sugared one."""
+    hashed; built over `subformulas`, depth costs no recursion.
+
+    A node's facts are set as it is added: `formulas[i]` is a formula of
+    it, `mods[i]` the mask of its modalities, `prop[i]` says it has none,
+    `desugared[i]` no sugared one, and `exists[i]` (`forall[i]`) that it
+    is in ExistsAABE (ForallAABE)."""
 
     def __init__(self):
         self.nodes: list = []
         self.formulas: list = []
+        self.mods: list = []
         self.prop: list = []
         self.desugared: list = []
+        self.exists: list = []
+        self.forall: list = []
         self._ids: dict = {}
 
     def add(self, phi) -> int:
@@ -189,32 +207,108 @@ class FormulaTable:
         return self._walk(phi, False)
 
     def _walk(self, phi, add: bool) -> int:
-        ids, prop, desugared = [], self.prop, self.desugared
+        ids = []
         for f in subformulas(phi):
-            if isinstance(f, Prop):
-                node, p, d = (Prop, f.name, None), True, True
-            elif isinstance(f, Const):
-                node, p, d = (Const, f.value, None), True, True
-            elif isinstance(f, Not):
-                a = ids.pop()
-                node, p, d = (Not, a, None), prop[a], desugared[a]
-            elif isinstance(f, _BINARY):
+            kind = type(f)
+            if kind is Prop:
+                node = (Prop, f.name, None)
+            elif kind is Const:
+                node = (Const, f.value, None)
+            elif kind is Not:
+                node = (Not, ids.pop(), None)
+            elif kind in _MODAL:
+                node = (f.mod, ids.pop(), kind is Diamond)
+            elif kind in _BINARY:
                 b, a = ids.pop(), ids.pop()
-                node, p, d = (type(f), a, b), prop[a] and prop[b], desugared[a] and desugared[b]
-            elif isinstance(f, _MODAL):
-                a = ids.pop()
-                node, p, d = (f.mod, a, isinstance(f, Diamond)), False, f.mod.primitive and desugared[a]
+                node = (kind, a, b)
             else:
                 raise TypeError(f"not a formula node: {f!r}")
-            i = self._ids.get(node) if add else self._ids[node]
-            if i is None:
-                i = self._ids[node] = len(self.nodes)
-                self.nodes.append(node)
-                self.formulas.append(f)
-                prop.append(p)
-                desugared.append(d)
-            ids.append(i)
+            ids.append(self._add(node, f) if add else self._ids[node])
         return ids.pop()
+
+    def _add(self, node, f) -> int:
+        """Id of `node`, added with the formula `f` and its facts on first use."""
+        i = self._ids.get(node)
+        if i is not None:
+            return i
+        kind, a, b = node
+        mods, exists, forall = self.mods, self.exists, self.forall
+        m = 0 if kind is Prop or kind is Const else mods[a] | (mods[b] if kind in _BINARY else _BIT.get(kind, 0))
+        e = not m or (kind is Or and exists[a] and exists[b]) or (b is True and kind in _EXISTS_MODS and exists[a])
+        fa = not m or (kind is And and forall[a] and forall[b]) or (b is False and kind in _EXISTS_MODS and forall[a])
+        i = self._ids[node] = len(self.nodes)
+        self.nodes.append(node)
+        self.formulas.append(f)
+        mods.append(m)
+        self.prop.append(not m)
+        self.desugared.append(not m & _SUGARED)
+        exists.append(e)
+        forall.append(fa)
+        return i
+
+    def modalities(self, i: int) -> frozenset:
+        """The modalities in node `i`."""
+        return frozenset(m for m, bit in _BIT.items() if self.mods[i] & bit)
+
+    def below(self, root: int) -> list:
+        """Ids of node `root` and of every node below it, in increasing order."""
+        seen = bytearray(root + 1)
+        seen[root] = 1
+        for i in range(root, -1, -1):
+            kind, a, b = self.nodes[i]
+            if seen[i] and kind is not Prop and kind is not Const:
+                seen[a] = seen[b if kind in _BINARY else a] = 1
+        return [i for i in range(root + 1) if seen[i]]
+
+    def dual(self, root: int) -> int:
+        """Id of the negation of the ForallAABE node `root` as an ExistsAABE
+        node: boxes become diamonds, `&` becomes `|`, and each maximal
+        Boolean operand `x` becomes `!x`, or `y` if it is `!y`. One walk
+        over the modal skeleton adds a node per skeleton node, so a Boolean
+        root costs O(1). NotInFragment outside ForallAABE."""
+        if not self.forall[root]:
+            raise NotInFragment(f"{type(self.formulas[root]).__name__} node outside the ForallAABE fragment")
+        nodes, formulas, duals, stack = self.nodes, self.formulas, {}, [root]
+        while stack:
+            i = stack[-1]
+            kind, a, b = nodes[i]
+            if self.prop[i]:
+                duals[i] = a if kind is Not else self._add((Not, i, None), Not(formulas[i]))
+            elif kind is And:
+                if a not in duals or b not in duals:
+                    stack += [c for c in (a, b) if c not in duals]
+                    continue
+                x, y = duals[a], duals[b]
+                duals[i] = self._add((Or, x, y), Or(formulas[x], formulas[y]))
+            elif a in duals:  # a box over A, B, E or ~A
+                duals[i] = self._add((kind, duals[a], True), Diamond(kind, formulas[duals[a]]))
+            else:
+                stack.append(a)
+                continue
+            stack.pop()
+        return duals[root]
+
+
+class TableNode(Record):
+    """Node `id` of a `FormulaTable`: `classify`, `negate_to_exists` and
+    the engines take one in place of a formula, and work on its table."""
+
+    __slots__ = ("table", "id")
+
+    def __init__(self, table: FormulaTable, id: int):
+        self.table = table
+        self.id = id
+
+
+def table_node(phi, table: FormulaTable | None = None) -> TableNode:
+    """`phi` as a `TableNode`: itself if it is one (of `table`, if given),
+    else `phi` added to `table`, or to a new table."""
+    if isinstance(phi, TableNode):
+        if table is not None and phi.table is not table:
+            raise ValueError("a node of another formula table")
+        return phi
+    table = FormulaTable() if table is None else table
+    return TableNode(table, table.add(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -364,18 +458,20 @@ def desugar(phi: Formula) -> Formula:
     one postorder pass; a subformula whose children did not change is kept."""
     out: list = []
     for f in subformulas(phi):
-        if isinstance(f, _BINARY):
+        kind = type(f)
+        if kind in _BINARY:
             b, a = out.pop(), out.pop()
-            out.append(f if a is f.left and b is f.right else type(f)(a, b))
-        elif isinstance(f, _UNARY):
+            out.append(f if a is f.left and b is f.right else kind(a, b))
+        elif kind is Not:
             a = out.pop()
-            if isinstance(f, Not):
-                out.append(f if a is f.sub else Not(a))
-            elif f.mod.primitive:
-                out.append(f if a is f.sub else type(f)(f.mod, a))
+            out.append(f if a is f.sub else Not(a))
+        elif kind in _MODAL:
+            a = out.pop()
+            if f.mod.primitive:
+                out.append(f if a is f.sub else kind(f.mod, a))
             else:
                 outer, inner = _SUGAR[f.mod]
-                out.append(type(f)(outer, type(f)(inner, a)))
+                out.append(kind(outer, kind(inner, a)))
         else:
             out.append(f)
     return out.pop()
@@ -402,76 +498,24 @@ class Fragment(Record):
         return tuple(name for name, on in flags.items() if on)
 
 
-_EXISTS_MODS = frozenset({Modality.A, Modality.B, Modality.E, Modality.ABAR})
-_AB_MODS = frozenset({Modality.A, Modality.BBAR})
-
-
-def classify(phi: Formula) -> Fragment:
-    """Fragment membership of a desugared formula, from one pass over its
-    node table that marks the ExistsAABE and ForallAABE nodes."""
-    table = FormulaTable()
-    root = table.add(phi)
+def classify(phi) -> Fragment:
+    """Fragment membership of a desugared formula, or of a `TableNode`:
+    the flags its table keeps for the root."""
+    node = table_node(phi)
+    table, root = node.table, node.id
     if not table.desugared[root]:
         raise ValueError("classify expects a desugared formula")
-    exists, forall = [], []
-    for prop, (kind, a, b) in zip(table.prop, table.nodes):
-        modal = kind in _EXISTS_MODS
-        exists.append(prop or (kind is Or and exists[a] and exists[b]) or (modal and b and exists[a]))
-        forall.append(prop or (kind is And and forall[a] and forall[b]) or (modal and not b and forall[a]))
-    mods = frozenset(kind for kind, _, _ in table.nodes if isinstance(kind, Modality))
-    return Fragment(
-        prop=not mods,
-        exists_aabe=exists[root],
-        forall_aabe=forall[root],
-        ab_bar=mods <= _AB_MODS,
-        modalities=mods,
-    )
+    mods = table.modalities(root)
+    return Fragment(not mods, table.exists[root], table.forall[root], mods <= _AB_MODS, mods)
 
 
-def negate_to_exists(psi: Formula) -> Formula:
-    """Equivalent of the negation of a universal-fragment formula: boxes
-    become diamonds, conjunctions disjunctions, and each maximal Boolean
-    operand is negated whole, as `!x`, or as `y` when it is `!y`. Every
-    engine compiles such an operand with `compile_prop`, which pushes the
-    negation down. At most doubles the size. NotInFragment when `psi` is
-    not in ForallAABE.
-
-    One postorder pass with a stack that holds, per operand, its negation,
-    or None while it is Boolean: such an operand is negated only where a
-    modal parent needs it, or at the root.
-    """
-    order = list(subformulas(psi))
-    if not any(isinstance(f, _MODAL) for f in order):
-        return _not(psi)
-    negs: list = []
-    for f in order:
-        if isinstance(f, _BINARY):
-            y, x = negs.pop(), negs.pop()
-            if x is None and y is None:
-                negs.append(None)
-                continue
-            if not isinstance(f, And):
-                raise _outside(f)
-            negs.append(Or(_not(f.left) if x is None else x, _not(f.right) if y is None else y))
-        elif isinstance(f, _MODAL):
-            x = negs.pop()
-            if isinstance(f, Diamond) or f.mod not in _EXISTS_MODS:
-                raise _outside(f)
-            negs.append(Diamond(f.mod, _not(f.sub) if x is None else x))
-        elif isinstance(f, Not):
-            if negs[-1] is not None:
-                raise _outside(f)
-        else:  # a leaf; a non-formula fails where a `FormulaTable` first takes it
-            negs.append(None)
-    return negs.pop()
-
-
-def _outside(f) -> NotInFragment:
-    return NotInFragment(f"{type(f).__name__} node outside the ForallAABE fragment")
-
-
-def _not(phi) -> Formula:
-    return phi.sub if isinstance(phi, Not) else Not(phi)
+def negate_to_exists(psi):
+    """Equivalent of the negation of a universal-fragment formula, from
+    `FormulaTable.dual`: a `TableNode` of the same table for a `TableNode`,
+    else a formula. NotInFragment when `psi` is not in ForallAABE."""
+    node = table_node(psi)
+    dual = node.table.dual(node.id)
+    return TableNode(node.table, dual) if node is psi else node.table.formulas[dual]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ formulas a bounded `true` is exact; for universal-fragment formulas a
 bounded `false` is exact. The evaluator favours being obviously correct
 over speed; `tracknfa` is the scalable counterpart for positive diamonds.
 
-It evaluates the nodes of one `logic.FormulaTable` over `K.numbering()`.
+It evaluates the nodes of one `logic.FormulaTable` over `K.numbering()`,
+in a check the table the CLI built, and compiles the nodes below a root
+only.
 A node with one value on every track is answered at once; any other node
 depends on the first state, the last state, the length, or the whole track
 (see `compile`), and is evaluated and memoized on no more than that. A
@@ -81,17 +83,18 @@ class BoundedEvaluator:
         self.K = K
         self.bound = bound
         self._numbering = K.numbering()
-        self._table = logic.FormulaTable()
-        self._nodes = self._table.nodes
-        self._memo: list = []
+        self._table = None  # that of the first formula or `TableNode` compiled
+        self._nodes: list = []
+        # Per compiled node id (see `compile`): its memo, its fixed value or
+        # None, and the features of a track its value depends on.
+        self._memo: dict = {}
+        self.fixed: dict = {}
+        self.deps: dict = {}
         self._tests: dict = {}  # leaf id -> its compiled test
-        # Per node (see `compile`): its fixed value or None; the features
-        # of a track its value depends on.
-        self.fixed: list = []
-        self.deps: list = []
 
     def compile(self, phi) -> int:
-        """Node id of `phi`, adding it and its subformulas on first use.
+        """Node id of `phi`, a formula added to this evaluator's table or a
+        `TableNode` of it, compiling it and the nodes below it on first use.
 
         A node is fixed when it is a constant, a Boolean node whose fixed
         operands decide it, `[X]` over a fixed-true or `<X>` over a
@@ -99,13 +102,17 @@ class BoundedEvaluator:
         depends on the whole track if it is a letter, on the union of its
         operands' features if it is a Boolean node, and on what
         `_modal_deps` gives if it is a modal node."""
-        root = self._table.add(phi)
-        # Per formula, not per new node: a refused formula leaves its nodes.
-        if not self._table.desugared[root]:
+        node = logic.table_node(phi, self._table)
+        table, root = node.table, node.id
+        self._table, self._nodes = table, table.nodes
+        if not table.desugared[root]:
             raise ValueError("bounded evaluation expects a desugared formula")
         fixed, deps = self.fixed, self.deps
-        for kind, a, b in self._nodes[len(self._memo) :]:
-            self._memo.append({})
+        for i in () if root in deps else table.below(root):
+            if i in deps:  # compiled below an earlier root
+                continue
+            self._memo[i] = {}
+            kind, a, b = table.nodes[i]
             if kind is Const:
                 f, d = a, 0
             elif kind is Prop:
@@ -117,8 +124,8 @@ class BoundedEvaluator:
             else:
                 f = _fold(kind, fixed[a], None if kind is Not else fixed[b])
                 d = deps[a] | (0 if kind is Not else deps[b])
-            fixed.append(f)
-            deps.append(0 if f is not None else d)
+            fixed[i] = f
+            deps[i] = 0 if f is not None else d
         return root
 
     def eval(self, rho: Track, phi) -> bool:

@@ -15,7 +15,7 @@ from intervalmc import (
     shortest_witness,
 )
 from intervalmc.class_checker import ClassEngine, check_ab, class_of
-from intervalmc.descriptor_checker import check_exists, model_check_univ
+from intervalmc.descriptor_checker import model_check_univ
 from intervalmc.logic import (
     Not,
     classify,
@@ -38,6 +38,7 @@ from intervalmc.reductions import (
 )
 from intervalmc.tracknfa import accepts_track, compile_positive, find_satisfying_track
 
+from _check_exists import check_exists
 from _instances import (
     random_ab_formula,
     random_cnf,

@@ -10,7 +10,7 @@ from intervalmc import (
     witnessed_descriptors,
 )
 from intervalmc.class_checker import check_ab
-from intervalmc.descriptor_checker import _ExistsEngine, check_exists, model_check_univ
+from intervalmc.descriptor_checker import _ExistsEngine, model_check_univ
 from intervalmc.errors import NotInFragment, NotWitnessed, ValidationError
 from intervalmc.logic import (
     And,
@@ -34,6 +34,7 @@ from intervalmc.oracle import default_bound
 from intervalmc.reductions import CnfFormula, build_sat_instance
 from intervalmc.tracknfa import accepts_track, compile_positive, find_satisfying_track
 
+from _check_exists import check_exists
 from _instances import (
     random_beta,
     random_exists_formula,

@@ -3,9 +3,12 @@ recursion limit.
 
 `_old_*` below is a copy of the recursive fragment membership tests that
 `classify` and `negate_to_exists` used before the table, kept as the
-reference for a differential check.
+reference for a differential check; `_logic_reference` holds the AST
+dualization and the table pass of `classify` that the table's own flags
+and `dual` replaced.
 """
 
+import random
 import time
 
 import pytest
@@ -32,9 +35,12 @@ from intervalmc.logic import (
     parse_formula,
     subformulas,
 )
+from intervalmc.logic import TableNode, table_node
 from intervalmc.oracle import BoundedEvaluator
+from intervalmc.reductions import CnfFormula, cnf_to_formula
 from intervalmc.tracknfa import compile_positive
 
+import _logic_reference as reference
 from _instances import (
     random_ab_formula,
     random_exists_formula,
@@ -218,3 +224,65 @@ def test_deep_box_chain_dualizes_in_one_pass():
     # Equal formulas get one node id; `==` would recurse 2,000 deep.
     table = FormulaTable()
     assert table.add(got) == table.add(want)
+
+
+def _agree(phi, shared):
+    """`negate_to_exists` and `classify` on `phi` equal the references, as
+    formulas or as the same exception type, also on `phi`'s node in the
+    table `shared`, which holds the other draws. Returns whether `phi` was
+    refused."""
+    want = _outcome(reference.negate_to_exists, phi)
+    got = _outcome(negate_to_exists, phi)
+    node = table_node(phi, shared)
+    dual = _outcome(negate_to_exists, node)
+    if isinstance(want, type):
+        assert got is want and dual is want, phi
+    else:
+        # Equal formulas share one id; `==` would recurse on deep ones.
+        assert isinstance(dual, TableNode) and dual.table is shared, phi
+        assert shared.add(got) == shared.add(want) == dual.id and shared.exists[dual.id], phi
+    frag = _outcome(reference.classify, phi)
+    assert _outcome(classify, phi) == frag and _outcome(classify, node) == frag, phi
+    return isinstance(want, type)
+
+
+def test_table_dual_and_flags_match_the_ast_pass():
+    rng = rng_for("formula-table-dual")
+    letters = ("p", "q")
+    shared = FormulaTable()
+    draws = refused = 0
+    started = time.perf_counter()
+    for _ in range(150):
+        sugared = _any_formula(rng, rng.randint(0, 5))
+        for phi in (
+            sugared,
+            desugar(sugared),
+            random_forall_formula(rng, letters, modal_budget=3),
+            random_exists_formula(rng, letters, modal_budget=3),
+            random_ab_formula(rng, letters, max_nodes=8),
+            random_positive_formula(rng, letters, modal_budget=3),
+            random_hs_formula(rng, letters, modal_budget=3),
+        ):
+            refused += _agree(phi, shared)
+            draws += 1
+    assert draws == 1050 and 300 < refused < 900, refused
+    assert time.perf_counter() - started < 1.0
+
+
+def test_table_dual_of_deep_and_wide_formulas_matches_the_ast_pass():
+    chain = Prop("p")
+    for _ in range(2000):
+        chain = Box(Modality.A, chain)
+    # The 5,000-clause CNF of the CLI tests, under `[A]`.
+    rng = random.Random("cli-oracle-5000-clauses")
+    clauses = [tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 11), 3)) for _ in range(5000)]
+    cnf = cnf_to_formula(CnfFormula(10, tuple(clauses)))
+    shared = FormulaTable()
+    for psi in (chain, Box(Modality.A, cnf), Diamond(Modality.A, chain)):
+        refused = _agree(psi, shared)
+        assert refused == isinstance(psi, Diamond)
+    # The dual of a Boolean root is one node, whatever its size.
+    size = len(shared.nodes)
+    assert negate_to_exists(table_node(Not(cnf), shared)).id == shared.find(cnf)
+    assert negate_to_exists(table_node(cnf, shared)).id == shared.find(Not(cnf))
+    assert negate_to_exists(table_node(Or(cnf, cnf), shared)).id == size + 1
