@@ -11,18 +11,19 @@ in a check the table the CLI built, and compiles the nodes below a root
 only.
 A node with one value on every track is answered at once; any other node
 depends on the first state, the last state, the length, or the whole track
-(see `compile`), and is evaluated and memoized on no more than that. A
-node that needs the whole track takes a tuple of state ids (`_value`): a
-leaf is a propositional node, tested by `compile_prop` on the AND of the
-states' label masks; `<B>` and `<E>` range over prefixes and suffixes, and
-`<~B>` and `<~E>` over every extension up to the bound, shortest first.
-Any other node takes its key (first state, last state, length), None where
-it does not depend on that part (`_at`): `<B>` and `<E>` range over the
-shorter lengths; `<A>` and `<~A>` over every track from the state if the
-operand needs the whole track; else these, `<~B>` and `<~E>` walk the
-states at the moving end breadth first, once per state, or per state and
-length if the operand depends on the length (`_walk`); a `<~B>` or `<~E>`
-walk that meets no witness settles its node at every key it walked.
+(see `compile`). One method, `_at`, evaluates every node, memoized on the
+coarsest key its value depends on. A leaf, a propositional node, takes the
+AND of the states' label masks, tested by `compile_prop`. Any other node
+that needs the whole track takes the tuple of state ids: `<B>` and `<E>`
+range over prefixes and suffixes, `<~B>` and `<~E>` over every extension
+up to the bound, shortest first. Any other node takes (first state, last
+state, length), None where it does not depend on that part: `<B>` and
+`<E>` range over the shorter lengths; `<A>` and `<~A>` over every track
+from the state if the operand needs the whole track; else these, `<~B>`
+and `<~E>` walk the states at the moving end breadth first, once per
+state, or per state and length if the operand depends on the length
+(`_walk`); a `<~B>` or `<~E>` walk that meets no witness settles its node
+at every key it walked.
 
 `model_check_bounded` evaluates every initial track, shortest first, if
 the root needs the whole track. Otherwise it walks the last states from
@@ -70,7 +71,8 @@ MAX_COUNT = 2**63 - 1
 def default_bound(K: KripkeStructure, phi) -> int:
     """(modal node count + 1) * (2 + |W|^2): long enough that bounded truth
     saturates for the existential fragment (one witness stretch per modal
-    node, plus the track itself)."""
+    node, plus the track itself). A `TableNode` counts its formula's."""
+    phi = phi.table.formulas[phi.id] if isinstance(phi, logic.TableNode) else phi
     return (logic.modal_count(phi) + 1) * (2 + len(K.states) ** 2)
 
 
@@ -134,33 +136,40 @@ class BoundedEvaluator:
         rho = check_track(self.K, rho)
         if len(rho) > self.bound:
             raise BoundTooSmall(f"track of length {len(rho)} exceeds bound {self.bound}")
-        return self._value(self.compile(phi), tuple(map(self._numbering.ids.__getitem__, rho)))
+        return self._at(self.compile(phi), tuple(map(self._numbering.ids.__getitem__, rho)))
 
-    def _value(self, i: int, rho: tuple) -> bool:
-        """Truth of node `i` on the id track `rho`, of length at most the bound."""
-        if self.deps[i] != TRACK:  # fixed nodes included
-            return self._at(i, rho[0], rho[-1], len(rho))
-        kind, a, b = self._nodes[i]
-        leaf = self._table.prop[i]
-        key = reduce(and_, map(self._numbering.labels.__getitem__, rho)) if leaf else rho
+    def _at(self, i: int, rho, first=None, last=None, length=None) -> bool:
+        """Truth of node `i` on the id track `rho`, of at most the bound states,
+        or, if `rho` is None and `i` does not need the whole track, on the tracks
+        from state id `first` to `last` of `length` states (None where ignored)."""
+        dep = self.deps[i]
+        if dep != TRACK:
+            if rho is not None:
+                first, last, length, rho = rho[0], rho[-1], len(rho), None
+            key = (first if dep & FIRST else None, last if dep & LAST else None, length if dep & LENGTH else None)
+        else:
+            key = reduce(and_, map(self._numbering.labels.__getitem__, rho)) if self._table.prop[i] else rho
         memo = self._memo[i]
-        out = memo.get(key)
+        out = memo.get(key, self.fixed[i])
         if out is not None:
             return out
-        if leaf:
+        kind, a, b = self._nodes[i]
+        if type(key) is int:  # a leaf, on the AND of the label masks
             if i not in self._tests:
                 self._tests[i] = compile_prop(self._table.formulas[i], self._numbering.letter_bit)
             out = self._tests[i](key)
         elif kind is Not:
-            out = not self._value(a, rho)
+            out = not self._at(a, rho, first, last, length)
         elif kind is And:
-            out = self._value(a, rho) and self._value(b, rho)
+            out = self._at(a, rho, first, last, length) and self._at(b, rho, first, last, length)
         elif kind is Or:
-            out = self._value(a, rho) or self._value(b, rho)
+            out = self._at(a, rho, first, last, length) or self._at(b, rho, first, last, length)
         elif kind is Implies:
-            out = not self._value(a, rho) or self._value(b, rho)
-        else:
-            if kind is _B:
+            out = not self._at(a, rho, first, last, length) or self._at(b, rho, first, last, length)
+        elif rho is not None or self.deps[a] == TRACK:  # over tracks
+            if rho is None:  # `<A>` or `<~A>`
+                domain = extend_tracks(self._numbering, [(last,) if kind is _A else (first,)], self.bound, kind is _A)
+            elif kind is _B:
                 domain = (rho[:j] for j in range(2, len(rho)))
             elif kind is _E:
                 domain = (rho[j:] for j in range(1, len(rho) - 1))
@@ -168,52 +177,25 @@ class BoundedEvaluator:
                 domain = extend_tracks(self._numbering, [rho], self.bound, kind is _BBAR)
             out = not b
             for t in domain:
-                if self._value(a, t) == b:
+                if self._at(a, t) == b:
                     out = b
                     break
-        memo[key] = out
-        return out
-
-    def _at(self, i: int, first, last, length) -> bool:
-        """Truth of node `i`, short of the whole track, on the tracks from state
-        id `first` to `last` of `length` states (None where `i` ignores it)."""
-        dep = self.deps[i]
-        key = (first if dep & FIRST else None, last if dep & LAST else None, length if dep & LENGTH else None)
-        memo = self._memo[i]
-        out = memo.get(key, self.fixed[i])
-        if out is not None:
-            return out
-        kind, a, b = self._nodes[i]
-        if kind is Not:
-            out = not self._at(a, first, last, length)
-        elif kind is And:
-            out = self._at(a, first, last, length) and self._at(b, first, last, length)
-        elif kind is Or:
-            out = self._at(a, first, last, length) or self._at(b, first, last, length)
-        elif kind is Implies:
-            out = not self._at(a, first, last, length) or self._at(b, first, last, length)
-        else:
+        elif kind is _B or kind is _E:  # over an operand of the kept end and the length
             out = not b
-            if kind is _B or kind is _E:  # over an operand of the kept end and the length
-                for n in range(2, length) if kind is _B else range(length - 1, 1, -1):
-                    if self._at(a, first, last, n) == b:
-                        out = b
-                        break
-            elif self.deps[a] == TRACK:  # `<A>` or `<~A>`
-                for t in extend_tracks(self._numbering, [(last,) if kind is _A else (first,)], self.bound, kind is _A):
-                    if self._value(a, t) == b:
-                        out = b
-                        break
-            else:
-                walked = []
-                for f, l, n in self._walk(kind, first, last, length, self.deps[a] & LENGTH):
-                    if self._at(a, f, l, n) == b:
-                        out = b
-                        break
-                    walked.append((f, l, n))
-                else:  # `<~B>`/`<~E>` at a walked key, length included, ranges over part of this walk
-                    for f, l, n in walked if kind is _BBAR or kind is _EBAR else ():
-                        memo[(f if dep & FIRST else None, l if dep & LAST else None, n)] = out
+            for n in range(2, length) if kind is _B else range(length - 1, 1, -1):
+                if self._at(a, None, first, last, n) == b:
+                    out = b
+                    break
+        else:
+            out, walked = not b, []
+            for f, l, n in self._walk(kind, first, last, length, self.deps[a] & LENGTH):
+                if self._at(a, None, f, l, n) == b:
+                    out = b
+                    break
+                walked.append((f, l, n))
+            else:  # `<~B>`/`<~E>` at a walked key, length included, ranges over part of this walk
+                for f, l, n in walked if kind is _BBAR or kind is _EBAR else ():
+                    memo[(f if dep & FIRST else None, l if dep & LAST else None, n)] = out
         memo[key] = out
         return out
 
@@ -289,7 +271,7 @@ def model_check_bounded(K: KripkeStructure, phi, bound: int) -> BoundedVerdict:
     numbering, init = ev._numbering, ev._numbering.ids[K.init]
     if dep == TRACK:
         for count, rho in enumerate(extend_tracks(numbering, [(init,)], bound), 1):  # K is left-total: not empty
-            if not ev._value(root, rho):
+            if not ev._at(root, rho):
                 return BoundedVerdict(False, bound, tuple(numbering.names[v] for v in rho), count)
         return BoundedVerdict(True, bound, None, count)
     # `layer`: the number of initial tracks of each length ending in each state.
@@ -302,7 +284,7 @@ def model_check_bounded(K: KripkeStructure, phi, bound: int) -> BoundedVerdict:
                 nxt[w] = nxt.get(w, 0) + n
                 if w not in seen:
                     seen.add(w)
-                    if not ev._at(root, init, w, length):
+                    if not ev._at(root, None, init, w, length):
                         failing.append(w)
         if failing:
             return BoundedVerdict(False, bound, *_first_track(numbering, init, length, failing))

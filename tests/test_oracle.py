@@ -857,6 +857,37 @@ def test_length_dependent_root_on_scheduler_at_default_bound(scheduler):
     assert (verdict.value, verdict.failing_track, verdict.initial_tracks) == (False, first, 2**63 - 1)
 
 
+def test_default_bound_of_a_table_node_is_that_of_its_formula(scheduler):
+    # A node counts the modal nodes of its formula, duplicates included,
+    # as the formula does; walked as a leaf, it would count none.
+    from intervalmc.logic import table_node
+
+    phi = desugar(parse_formula("<~B><D> true"))
+    assert default_bound(scheduler, table_node(phi)) == default_bound(scheduler, phi) == 408
+    rng = rng_for("oracle-default-bound-node")
+    for _ in range(100):
+        phi = random_hs_formula(rng, ("p", "q"), modal_budget=4)
+        twice = And(phi, phi)  # one table node per distinct subformula
+        assert default_bound(scheduler, table_node(twice)) == default_bound(scheduler, twice), twice
+
+
+def test_evaluator_keeps_to_the_table_of_its_first_node(kequiv):
+    from intervalmc.logic import table_node
+
+    node = table_node(desugar(parse_formula("<A> q")))
+    ev = BoundedEvaluator(kequiv, 4)
+    assert ev.compile(node) == node.id
+    later = ev.compile(parse_formula("<B> p"))
+    assert node.table.find(parse_formula("<B> p")) == later
+    assert ev.eval(("v0", "v1"), node) == eval_bounded(kequiv, ("v0", "v1"), parse_formula("<A> q"), 4)
+    with pytest.raises(ValueError):
+        ev.compile(table_node(parse_formula("<A> q")))
+    ev = BoundedEvaluator(kequiv, 4)
+    ev.compile(parse_formula("p"))
+    with pytest.raises(ValueError):
+        ev.compile(node)
+
+
 # ---------------------------------------------------------------------------
 # The evaluator on numbered states, against the name-based module.
 
