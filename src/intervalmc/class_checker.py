@@ -7,7 +7,7 @@ that hold on it and its last state, so each equivalence class can be
 evaluated once. Classes are generated from the length-2 seed tracks and
 closed under single-state extension. A class is a dense int id, keyed by
 mask * |W| + last state id, with the mask over the formula's letters and
-state ids from `KripkeStructure.numbering`. A root in a `FormulaTable`
+state ids from `KripkeStructure.ids`. A root in a `FormulaTable`
 and each node below it get an int bitset over ids as their truth set.
 
 `<A>` and `<~B>` both search backwards from their operand's truth set over
@@ -78,14 +78,13 @@ class ClassEngine:
         self._below = table.below(root)
         self.pl = frozenset(table.nodes[i][1] for i in self._below if table.nodes[i][0] is Prop)
         self._letters = sorted(self.pl)
-        self._numbering = K.numbering()
         self._build_classes()
         self._truth = self._evaluate()
 
     def _build_classes(self):
-        numbering, n = self._numbering, len(self.K.states)
+        K, n = self.K, len(self.K.states)
         bit = {p: 1 << i for i, p in enumerate(self._letters)}
-        label = [sum(bit[p] for p in self.K.labels[s] & self.pl) for s in numbering.names]
+        label = [sum(bit[p] for p in K.labels[s] & self.pl) for s in K.names]
         ids, keys, rows, by_last = {}, [], [], [[] for _ in range(n)]
         # `masks` holds each class's letter mask in `width` bytes.
         width, masks = len(self._letters) + 7 >> 3, bytearray()
@@ -96,7 +95,7 @@ class ClassEngine:
         for source in chain([label[v] * n + v for v in range(n)], keys):
             mask, last = divmod(source, n)
             row = []
-            for w in numbering.succ[last]:
+            for w in K.succ[last]:
                 m = mask & label[w]
                 key = m * n + w
                 c = ids.get(key)
@@ -114,7 +113,7 @@ class ClassEngine:
         for c, row in enumerate(succ):
             for c2 in row:
                 pred[c2].append(c)
-        self._keys, self._seeds, self._succ, self._pred = keys, seeds, succ, pred
+        self._keys, self._seeds, self._class_succ, self._class_pred = keys, seeds, succ, pred
         # Seeds are interned first, so their ids and these bitsets are small.
         self._seed_bits = [sum(1 << c for c in row) for row in seeds]
         self._by_last = [self._bitset(group) for group in by_last]
@@ -146,7 +145,7 @@ class ClassEngine:
     @cached_property
     def _id_of(self) -> dict:
         """Id of every realized class, in id order."""
-        names, letters, n = self._numbering.names, self._letters, len(self.K.states)
+        names, letters, n = self.K.names, self._letters, len(self.K.states)
         return {
             TrackClass(frozenset(p for i, p in enumerate(letters) if key // n >> i & 1), names[key % n]): c
             for c, key in enumerate(self._keys)
@@ -160,11 +159,11 @@ class ClassEngine:
     def classes_from(self, v) -> frozenset:
         """Classes of the tracks starting at `v`: its seed classes and every
         class reached from them. ValidationError for an undeclared state."""
-        i = self._numbering.ids.get(v)
+        i = self.K.ids.get(v)
         if i is None:
             raise ValidationError("UnknownState", v)
         named = list(self._id_of)
-        return frozenset(named[c] for c in _members(self._closure(self._seeds[i], self._succ)))
+        return frozenset(named[c] for c in _members(self._closure(self._seeds[i], self._class_succ)))
 
     def truth(self, phi, c: TrackClass) -> bool:
         """Truth of a subformula on every track of the class."""
@@ -195,8 +194,8 @@ class ClassEngine:
                 # strict extension, so its search starts one step back.
                 start = _members(sub)
                 if kind is Modality.BBAR:
-                    start = chain.from_iterable(map(self._pred.__getitem__, start))
-                sat = self._closure(start, self._pred)
+                    start = chain.from_iterable(map(self._class_pred.__getitem__, start))
+                sat = self._closure(start, self._class_pred)
                 if kind is Modality.A:
                     # A track from v is a seed track of v or extends one, so
                     # v has a track in `sub` iff a seed class of v is in
@@ -212,13 +211,13 @@ class ClassEngine:
         """Shortest initial track whose class is not in the bitset `sat`, or
         None: one breadth-first search from the initial state that visits
         each class once and keeps its parent."""
-        names, keys, n = self._numbering.names, self._keys, len(self.K.states)
+        names, keys, n = self.K.names, self._keys, len(self.K.states)
         good = format(sat, f"0{len(keys)}b")[::-1]
         # -1 stands for the initial state, whose row is its seed row.
-        seeds = self._seeds[self._numbering.ids[self.K.init]]
+        seeds = self._seeds[self.K.ids[self.K.init]]
         parent, queue = {}, [-1]
         for c in queue:
-            for c2 in self._succ[c] if c >= 0 else seeds:
+            for c2 in self._class_succ[c] if c >= 0 else seeds:
                 if c2 in parent:
                     continue
                 parent[c2] = c

@@ -169,9 +169,8 @@ def cmd_classify(args) -> int:
 def cmd_descriptors(args) -> int:
     K = model.parse_kripke(_read(args.model))
     direction = {"fwd": "forward", "bwd": "backward"}[args.dir]
-    for d in model.witnessed_descriptors(K, args.state, direction):
-        witness = model.shortest_witness(K, d)
-        print(f"{d!r} witness_len={len(witness)}")
+    for d, length in model.witness_lengths(K, args.state, direction):
+        print(f"{d!r} witness_len={length}")
     return EXIT_HOLDS
 
 

@@ -12,7 +12,7 @@ nodes below that root, once: each maximal propositional node becomes a
 leaf, compiled by `compile_prop` into a test on letter masks, and each
 disjunction and diamond above the leaves an inner node, with the table's
 node ids as keys, so equal nodes share one. The engine works on the
-structure's state numbering (`KripkeStructure.numbering`): a descriptor
+structure's state ids (`KripkeStructure.ids`): a descriptor
 element is an int triple (first id, interior bitmask, last id), and a
 `DescriptorElement` is built only where one enters or leaves the engine.
 The elements of each state come from one fixpoint (`model._pairs`), which
@@ -87,10 +87,8 @@ class _ExistsEngine:
     """Search for one existential-fragment formula over the descriptor
     elements of one structure. Node `root` is the formula itself."""
 
-    def __init__(self, K: KripkeStructure, phi, use_memo: bool = True):
+    def __init__(self, K: KripkeStructure, phi):
         self.K = K
-        self.use_memo = use_memo
-        self._numbering = K.numbering()
         self._compile(phi)
         self._witnessed: dict = {}
         # Element -> intersection of the labels of its states, as a mask.
@@ -119,7 +117,7 @@ class _ExistsEngine:
                 continue
             kind, a, b = nodes[i] = table.nodes[i]
             if table.prop[i]:
-                nodes[i] = (_LEAF, compile_prop(table.formulas[i], self._numbering.letter_bit), None)
+                nodes[i] = (_LEAF, compile_prop(table.formulas[i], self.K.letter_bit), None)
             else:
                 todo += (a, b) if kind is Or else (a,)
 
@@ -129,7 +127,7 @@ class _ExistsEngine:
         out = self._witnessed.get(key)
         if out is None:
             parents = _pairs(self.K, v, forward)
-            masks = self._numbering.labels
+            masks = self.K.masks
             # Pair -> intersection of the labels of its interior states.
             inner = {}
             for pair, parent in parents.items():
@@ -159,15 +157,12 @@ class _ExistsEngine:
     def check(self, node: int, d):
         """(satisfiable?, witness track associated with d or None)."""
         key = (node, d)
-        if self.use_memo:
-            out = self._memo.get(key)
-            if out is not None:
-                self.stats["memo_hits"] += 1
-                return out
+        out = self._memo.get(key)
+        if out is not None:
+            self.stats["memo_hits"] += 1
+            return out
         self.stats["check_calls"] += 1
-        out = self._check(node, d)
-        if self.use_memo:
-            self._memo[key] = out
+        out = self._memo[key] = self._check(node, d)
         return out
 
     def _check(self, node, d):
@@ -187,11 +182,9 @@ class _ExistsEngine:
         if kind is Modality.A or kind is Modality.ABAR:
             forward = kind is Modality.A
             key = (node, d[2] if forward else d[0])
-            ok = self._adjacent.get(key) if self.use_memo else None
+            ok = self._adjacent.get(key)
             if ok is None:
-                ok = any(self.check(a, adj)[0] for adj in self.witnessed(key[1], forward))
-                if self.use_memo:
-                    self._adjacent[key] = ok
+                ok = self._adjacent[key] = any(self.check(a, adj)[0] for adj in self.witnessed(key[1], forward))
             if ok:
                 self.stats["adjacent_witnesses"] += 1
                 return True, self.realize(d)
@@ -207,8 +200,8 @@ class _ExistsEngine:
         `sub` on each element on its first visit (d too, when a peel leads
         back to it), and adds the peeled states back to the witness it
         finds."""
-        names = self._numbering.names
-        step = self._numbering.pred if prefix else self._numbering.succ
+        names = self.K.names
+        step = self.K.pred if prefix else self.K.succ
         parents = {}
         queue = [d]
         for y in queue:
@@ -230,21 +223,20 @@ class _ExistsEngine:
                             if z == d:
                                 return True, wit
                     queue.append(z)
-        if self.use_memo:
-            for z in parents:
-                self._memo[(node, z)] = (False, None)
+        for z in parents:
+            self._memo[(node, z)] = (False, None)
         return False, None
 
 
-def model_check_univ(K: KripkeStructure, psi, use_memo: bool = True) -> Verdict:
+def model_check_univ(K: KripkeStructure, psi) -> Verdict:
     """Model check a universal-fragment formula: Holds iff no witnessed
     initial descriptor element admits a track satisfying the dualized
     negation; otherwise Fails with the first counterexample track in
     canonical order. NotInFragment (from `negate_to_exists`) outside ForallAABE.
     The dual joins the table of `psi`, a formula or a `TableNode`.
     """
-    engine = _ExistsEngine(K, negate_to_exists(table_node(psi)), use_memo=use_memo)
-    for d in engine.witnessed(K.numbering().ids[K.init]):
+    engine = _ExistsEngine(K, negate_to_exists(table_node(psi)))
+    for d in engine.witnessed(K.ids[K.init]):
         ok, wit = engine.check(engine.root, d)
         if ok:
             return Verdict("fails", wit, "descriptor", dict(engine.stats))

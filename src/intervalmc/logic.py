@@ -16,7 +16,7 @@ The parser, the printer, desugaring, the table, dualization and
 `compile_prop` keep explicit stacks, so nesting depth costs no recursion.
 Every propositional evaluation goes through `compile_prop`: `val` over a
 descriptor element's label mask, `reductions.brute_sat` over assignments,
-and the engines' leaves over the label masks of `K.numbering()`.
+and the engines' leaves over the label masks of a `KripkeStructure`.
 """
 
 from __future__ import annotations
@@ -527,11 +527,10 @@ def val(beta: Formula, d: DescriptorElement, K: KripkeStructure) -> bool:
     true iff it labels the endpoints and every interior state, which equals
     its truth on any track the element abstracts.
     """
-    numbering = K.numbering()
     mask = -1
     for s in (d.v_in, d.v_fin, *d.interior):
-        mask &= numbering.labels[numbering.ids[s]]
-    return compile_prop(beta, numbering.letter_bit)(mask)
+        mask &= K.masks[K.ids[s]]
+    return compile_prop(beta, K.letter_bit)(mask)
 
 
 # Negation normal form of a binary node: (is a conjunction, left operand

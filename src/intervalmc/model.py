@@ -5,12 +5,13 @@ every consecutive pair an edge of the owning structure). Descriptor
 elements abstract a track by its first state, the set of states occurring
 strictly in between, and its last state.
 
-`KripkeStructure.numbering()` numbers the states once, on first use, in
-sorted-name order, so that id order is name order; it holds the label
-masks and the successor and predecessor id lists. The descriptor fixpoint
-`_pairs` runs on these ids, over (endpoint id, interior bitmask) pairs.
-`witnessed_descriptors` and `shortest_witness` convert its result to and
-from state names; the descriptor engine uses it directly. `enumerate_tracks`
+A `KripkeStructure` numbers its states when it is built, in sorted-name
+order, so that id order is name order, and keeps the label masks and the
+successor and predecessor id lists by id; every engine runs on these ids.
+The descriptor fixpoint `_pairs` runs over (endpoint id, interior mask)
+pairs. `witnessed_descriptors`, `witness_lengths` and `shortest_witness`
+convert its result to and from state names; the descriptor engine uses it
+directly. `enumerate_tracks`
 and the bounded oracle draw their tracks from `extend_tracks`.
 """
 
@@ -35,7 +36,7 @@ class KripkeStructure:
     initial state membership).
     """
 
-    __slots__ = ("ap", "states", "edges", "labels", "init", "_succ", "_pred", "_numbering")
+    __slots__ = ("ap", "states", "edges", "labels", "init", "names", "ids", "letter_bit", "masks", "succ", "pred")
 
     def __init__(self, ap, states, edges, labels, init):
         self.ap = frozenset(ap)
@@ -44,14 +45,20 @@ class KripkeStructure:
         self.labels = {s: frozenset(labels.get(s, ())) for s in self.states}
         self.init = init
         self._validate(labels)
-        succ: dict[str, list[str]] = {s: [] for s in self.states}
-        pred: dict[str, list[str]] = {s: [] for s in self.states}
-        for a, b in sorted(self.edges):
+        # States are numbered in sorted-name order and letters in sorted
+        # order, so that comparing ids compares names.
+        self.names = names = tuple(sorted(self.states))  # id -> state name
+        self.ids = ids = {s: i for i, s in enumerate(names)}
+        self.letter_bit = bit = {p: 1 << i for i, p in enumerate(sorted(self.ap))}
+        self.masks = tuple(sum(bit[p] for p in self.labels[s]) for s in names)  # id -> label mask
+        # id -> successor (predecessor) ids, ascending: the edges come in id order.
+        succ: list = [[] for _ in names]
+        pred: list = [[] for _ in names]
+        for a, b in sorted((ids[a], ids[b]) for a, b in self.edges):
             succ[a].append(b)
             pred[b].append(a)
-        self._succ = {s: tuple(v) for s, v in succ.items()}
-        self._pred = {s: tuple(sorted(v)) for s, v in pred.items()}
-        self._numbering = None
+        self.succ = tuple(map(tuple, succ))
+        self.pred = tuple(map(tuple, pred))
 
     def _validate(self, labels):
         if not self.states:
@@ -83,16 +90,10 @@ class KripkeStructure:
                 raise ValidationError("UnknownProposition", sorted(stray)[0])
 
     def successors(self, v: str) -> tuple[str, ...]:
-        return self._succ[v]
+        return tuple(map(self.names.__getitem__, self.succ[self.ids[v]]))
 
     def predecessors(self, v: str) -> tuple[str, ...]:
-        return self._pred[v]
-
-    def numbering(self) -> Numbering:
-        """The state and letter numbering, built on first use."""
-        if self._numbering is None:
-            self._numbering = Numbering(self)
-        return self._numbering
+        return tuple(map(self.names.__getitem__, self.pred[self.ids[v]]))
 
     def __eq__(self, other):
         if not isinstance(other, KripkeStructure):
@@ -112,22 +113,6 @@ class KripkeStructure:
             f"KripkeStructure(states={len(self.states)}, edges={len(self.edges)}, "
             f"init={self.init!r})"
         )
-
-
-class Numbering:
-    """The states of a structure numbered in sorted-name order, and its
-    letters in sorted order, so that comparing ids compares names."""
-
-    __slots__ = ("names", "ids", "letter_bit", "labels", "succ", "pred")
-
-    def __init__(self, K: KripkeStructure):
-        self.names = names = tuple(sorted(K.states))  # id -> state name
-        self.ids = ids = {s: i for i, s in enumerate(names)}
-        self.letter_bit = bit = {p: 1 << i for i, p in enumerate(sorted(K.ap))}
-        self.labels = tuple(sum(bit[p] for p in K.labels[s]) for s in names)  # id -> label mask
-        # id -> successor (predecessor) ids, ascending.
-        self.succ = tuple(tuple(ids[w] for w in K.successors(s)) for s in names)
-        self.pred = tuple(tuple(ids[w] for w in K.predecessors(s)) for s in names)
 
 
 class DescriptorElement(Record):
@@ -207,8 +192,7 @@ def _pairs(K: KripkeStructure, v: int, forward: bool = True, within: int = -1, t
     discovery order; a pair whose interior grown by u leaves `within` is
     not extended, and the search stops after the level that reaches
     `target`."""
-    numbering = K.numbering()
-    step = numbering.succ if forward else numbering.pred
+    step = K.succ if forward else K.pred
     parents = dict.fromkeys((w, 0) for w in step[v])
     frontier = list(parents)
     while frontier and target not in parents:
@@ -242,7 +226,7 @@ def _pair_order(pair):
 def _ids_of(K: KripkeStructure, d: DescriptorElement) -> tuple:
     """d as (first id, interior mask, last id); UnknownState for a state
     that `K` does not declare."""
-    ids = K.numbering().ids
+    ids = K.ids
     for s in (d.v_in, d.v_fin, *d.interior):
         if s not in ids:
             raise ValidationError("UnknownState", s)
@@ -251,7 +235,7 @@ def _ids_of(K: KripkeStructure, d: DescriptorElement) -> tuple:
 
 def _element(K: KripkeStructure, first: int, mask: int, last: int) -> DescriptorElement:
     """The `DescriptorElement` of (first id, interior mask, last id)."""
-    names = K.numbering().names
+    names = K.names
     interior = frozenset(names[i] for i in range(mask.bit_length()) if mask >> i & 1)
     return DescriptorElement(names[first], interior, names[last])
 
@@ -263,15 +247,25 @@ def witnessed_descriptors(K: KripkeStructure, v: str, direction: str = "forward"
     element of the result is realized by some track and every track's
     descriptor is included. Returned sorted in a canonical order.
     """
+    return tuple(d for d, _ in witness_lengths(K, v, direction))
+
+
+def witness_lengths(K: KripkeStructure, v: str, direction: str = "forward"):
+    """`witnessed_descriptors(K, v, direction)`, each element paired with
+    the length of its shortest tracks: 2 plus the depth at which the
+    breadth-first fixpoint first reaches its pair, in either direction."""
     if v not in K.labels:
         raise ValidationError("UnknownState", v)
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
     forward = direction == "forward"
-    first = K.numbering().ids[v]
+    first = K.ids[v]
+    parents, length = _pairs(K, first, forward), {}
+    for pair, parent in parents.items():  # in discovery order: a parent comes first
+        length[pair] = 2 if parent is None else length[parent] + 1
     return tuple(
-        _element(K, first, mask, u) if forward else _element(K, u, mask, first)
-        for u, mask in sorted(_pairs(K, first, forward), key=_pair_order)
+        (_element(K, first, mask, u) if forward else _element(K, u, mask, first), length[u, mask])
+        for u, mask in sorted(parents, key=_pair_order)
     )
 
 
@@ -284,7 +278,7 @@ def shortest_witness(K: KripkeStructure, d: DescriptorElement) -> Track:
     parents = _pairs(K, first, within=within, target=pair)
     if pair not in parents:
         raise NotWitnessed(f"no track of the structure realizes {d!r}")
-    names = K.numbering().names
+    names = K.names
     track = []
     while pair is not None:
         track.append(names[pair[0]])
@@ -293,13 +287,13 @@ def shortest_witness(K: KripkeStructure, d: DescriptorElement) -> Track:
     return tuple(reversed(track))
 
 
-def extend_tracks(numbering: Numbering, seeds, max_len: int, forward: bool = True) -> Iterator[tuple]:
+def extend_tracks(K: KripkeStructure, seeds, max_len: int, forward: bool = True) -> Iterator[tuple]:
     """Yield every extension of the id tracks `seeds`, all of one length,
     by one or more states, to the right if `forward` and to the left
     otherwise, of at most `max_len` states: shortest first, then seed by
     seed, then lexicographic in the added states from the seed outwards.
     Depth first within a length, so memory stays linear in the length."""
-    step = numbering.succ if forward else numbering.pred
+    step = K.succ if forward else K.pred
     for length in range(len(seeds[0]) + 1, max_len + 1):
         for seed in seeds:
             path = list(seed if forward else reversed(seed))  # the moving end last
@@ -327,10 +321,9 @@ def enumerate_tracks(
         raise ValueError("max_len must be at least 2")
     if start is not None and start not in K.labels:
         raise ValidationError("UnknownState", start)
-    numbering = K.numbering()
-    starts = [(numbering.ids[start],)] if start is not None else [(i,) for i in range(len(numbering.names))]
-    for t in extend_tracks(numbering, starts, max_len):
-        yield tuple(numbering.names[i] for i in t)
+    starts = [(K.ids[start],)] if start is not None else [(i,) for i in range(len(K.names))]
+    for t in extend_tracks(K, starts, max_len):
+        yield tuple(K.names[i] for i in t)
 
 
 def parse_kripke(text: str) -> KripkeStructure:

@@ -6,7 +6,7 @@ formulas a bounded `true` is exact; for universal-fragment formulas a
 bounded `false` is exact. The evaluator favours being obviously correct
 over speed; `tracknfa` is the scalable counterpart for positive diamonds.
 
-It evaluates the nodes of one `logic.FormulaTable` over `K.numbering()`,
+It evaluates the nodes of one `logic.FormulaTable` over the state ids of `K`,
 in a check the table the CLI built, and compiles the nodes below a root
 only.
 A node with one value on every track is answered at once; any other node
@@ -41,7 +41,7 @@ from operator import and_
 from . import logic
 from .errors import BoundTooSmall
 from .logic import And, Const, Implies, Modality, Not, Or, Prop, compile_prop
-from .model import KripkeStructure, Numbering, Track, check_track, extend_tracks
+from .model import KripkeStructure, Track, check_track, extend_tracks
 from .model import enumerate_tracks, track_label  # unused; perfbench/tracer.py counts calls through these names
 from .record import Record
 
@@ -84,7 +84,6 @@ class BoundedEvaluator:
             raise ValueError("bound must be at least 2")
         self.K = K
         self.bound = bound
-        self._numbering = K.numbering()
         self._table = None  # that of the first formula or `TableNode` compiled
         self._nodes: list = []
         # Per compiled node id (see `compile`): its memo, its fixed value or
@@ -136,7 +135,7 @@ class BoundedEvaluator:
         rho = check_track(self.K, rho)
         if len(rho) > self.bound:
             raise BoundTooSmall(f"track of length {len(rho)} exceeds bound {self.bound}")
-        return self._at(self.compile(phi), tuple(map(self._numbering.ids.__getitem__, rho)))
+        return self._at(self.compile(phi), tuple(map(self.K.ids.__getitem__, rho)))
 
     def _at(self, i: int, rho, first=None, last=None, length=None) -> bool:
         """Truth of node `i` on the id track `rho`, of at most the bound states,
@@ -148,7 +147,7 @@ class BoundedEvaluator:
                 first, last, length, rho = rho[0], rho[-1], len(rho), None
             key = (first if dep & FIRST else None, last if dep & LAST else None, length if dep & LENGTH else None)
         else:
-            key = reduce(and_, map(self._numbering.labels.__getitem__, rho)) if self._table.prop[i] else rho
+            key = reduce(and_, map(self.K.masks.__getitem__, rho)) if self._table.prop[i] else rho
         memo = self._memo[i]
         out = memo.get(key, self.fixed[i])
         if out is not None:
@@ -156,7 +155,7 @@ class BoundedEvaluator:
         kind, a, b = self._nodes[i]
         if type(key) is int:  # a leaf, on the AND of the label masks
             if i not in self._tests:
-                self._tests[i] = compile_prop(self._table.formulas[i], self._numbering.letter_bit)
+                self._tests[i] = compile_prop(self._table.formulas[i], self.K.letter_bit)
             out = self._tests[i](key)
         elif kind is Not:
             out = not self._at(a, rho, first, last, length)
@@ -168,13 +167,13 @@ class BoundedEvaluator:
             out = not self._at(a, rho, first, last, length) or self._at(b, rho, first, last, length)
         elif rho is not None or self.deps[a] == TRACK:  # over tracks
             if rho is None:  # `<A>` or `<~A>`
-                domain = extend_tracks(self._numbering, [(last,) if kind is _A else (first,)], self.bound, kind is _A)
+                domain = extend_tracks(self.K, [(last,) if kind is _A else (first,)], self.bound, kind is _A)
             elif kind is _B:
                 domain = (rho[:j] for j in range(2, len(rho)))
             elif kind is _E:
                 domain = (rho[j:] for j in range(1, len(rho) - 1))
             else:
-                domain = extend_tracks(self._numbering, [rho], self.bound, kind is _BBAR)
+                domain = extend_tracks(self.K, [rho], self.bound, kind is _BBAR)
             out = not b
             for t in domain:
                 if self._at(a, t) == b:
@@ -205,7 +204,7 @@ class BoundedEvaluator:
         reach each state at the moving end, unless a shorter one did and not `by_length`."""
         forward = kind is _A or kind is _BBAR
         kept = last if kind is _A or kind is _EBAR else first
-        step = self._numbering.succ if forward else self._numbering.pred
+        step = self.K.succ if forward else self.K.pred
         seen, layer = set(), [last if forward else first]
         for n in range(2 if kind is _A or kind is _ABAR else length + 1, self.bound + 1):
             nxt, seen = [], set() if by_length else seen
@@ -268,11 +267,11 @@ def model_check_bounded(K: KripkeStructure, phi, bound: int) -> BoundedVerdict:
     ev = BoundedEvaluator(K, bound)
     root = ev.compile(phi)
     dep = ev.deps[root]
-    numbering, init = ev._numbering, ev._numbering.ids[K.init]
+    init = K.ids[K.init]
     if dep == TRACK:
-        for count, rho in enumerate(extend_tracks(numbering, [(init,)], bound), 1):  # K is left-total: not empty
+        for count, rho in enumerate(extend_tracks(K, [(init,)], bound), 1):  # K is left-total: not empty
             if not ev._at(root, rho):
-                return BoundedVerdict(False, bound, tuple(numbering.names[v] for v in rho), count)
+                return BoundedVerdict(False, bound, tuple(K.names[v] for v in rho), count)
         return BoundedVerdict(True, bound, None, count)
     # `layer`: the number of initial tracks of each length ending in each state.
     seen, failing, count, layer = set(), [], 0, {init: 1}
@@ -280,14 +279,14 @@ def model_check_bounded(K: KripkeStructure, phi, bound: int) -> BoundedVerdict:
         seen = set() if dep & LENGTH else seen
         decided, nxt = len(seen), {}
         for v, n in layer.items():
-            for w in numbering.succ[v]:
+            for w in K.succ[v]:
                 nxt[w] = nxt.get(w, 0) + n
                 if w not in seen:
                     seen.add(w)
                     if not ev._at(root, None, init, w, length):
                         failing.append(w)
         if failing:
-            return BoundedVerdict(False, bound, *_first_track(numbering, init, length, failing))
+            return BoundedVerdict(False, bound, *_first_track(K, init, length, failing))
         count = min(count + sum(nxt.values()), MAX_COUNT)
         if count == MAX_COUNT and len(seen) == decided:  # nothing left to decide or count
             break
@@ -295,7 +294,7 @@ def model_check_bounded(K: KripkeStructure, phi, bound: int) -> BoundedVerdict:
     return BoundedVerdict(True, bound, None, count)
 
 
-def _first_track(numbering: Numbering, init: int, length: int, ends) -> tuple[Track, int]:
+def _first_track(K: KripkeStructure, init: int, length: int, ends) -> tuple[Track, int]:
     """The first track of `length` states from state id `init` that ends
     in the ids `ends`, in `enumerate_tracks` order, as names, and its
     1-based position in that order (saturating at MAX_COUNT).
@@ -306,16 +305,16 @@ def _first_track(numbering: Numbering, init: int, length: int, ends) -> tuple[Tr
     walk passes over."""
     # reach[k]: ids from which `ends` is reachable in exactly k steps;
     # walks[k][v]: number of walks of k steps from v.
-    reach, walks = [set(ends)], [[1] * len(numbering.succ)]
+    reach, walks = [set(ends)], [[1] * len(K.succ)]
     for _ in range(length - 2):
-        reach.append({u for w in reach[-1] for u in numbering.pred[w]})
+        reach.append({u for w in reach[-1] for u in K.pred[w]})
         prev = walks[-1]
-        walks.append([min(sum(prev[w] for w in ws), MAX_COUNT) for ws in numbering.succ])
+        walks.append([min(sum(prev[w] for w in ws), MAX_COUNT) for ws in K.succ])
     track, position = [init], 1 + sum(walks[k][init] for k in range(1, length - 1))
     for k in reversed(range(length - 1)):
-        for w in numbering.succ[track[-1]]:
+        for w in K.succ[track[-1]]:
             if w in reach[k]:
                 break
             position += walks[k][w]
         track.append(w)
-    return tuple(numbering.names[v] for v in track), min(position, MAX_COUNT)
+    return tuple(K.names[v] for v in track), min(position, MAX_COUNT)

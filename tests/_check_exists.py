@@ -8,7 +8,7 @@ from intervalmc.logic import classify
 from intervalmc.model import DescriptorElement, KripkeStructure, _ids_of
 
 
-def check_exists(K: KripkeStructure, psi, d: DescriptorElement, use_memo: bool = True):
+def check_exists(K: KripkeStructure, psi, d: DescriptorElement):
     """True (plus a witness track associated with d) iff some track the
     element abstracts satisfies the existential-fragment formula.
     ValidationError("UnknownState") when d names an undeclared state, and
@@ -16,7 +16,7 @@ def check_exists(K: KripkeStructure, psi, d: DescriptorElement, use_memo: bool =
     """
     if not classify(psi).exists_aabe:
         raise NotInFragment("check_exists expects an ExistsAABE formula")
-    engine = _ExistsEngine(K, psi, use_memo=use_memo)
+    engine = _ExistsEngine(K, psi)
     first, mask, last = _ids_of(K, d)
     if (mask, last) not in engine.peels(first):
         raise NotWitnessed(f"descriptor element {d!r} is not witnessed")

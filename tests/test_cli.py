@@ -10,9 +10,11 @@ import time
 
 import pytest
 
-from intervalmc import cli, enumerate_tracks, parse_kripke
+from intervalmc import cli, enumerate_tracks, format_kripke, parse_kripke, shortest_witness, witnessed_descriptors
 from intervalmc.cli import main
 from intervalmc.logic import FormulaTable
+
+from _instances import rng_for, sparse_kripke
 
 
 def run(capsys, *argv):
@@ -671,11 +673,41 @@ def test_descriptors_scheduler_listing_pinned(kequiv_path, capsys, direction, li
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("direction", ("fwd", "bwd"))
+def test_descriptors_witness_len_is_the_shortest_witness(tmp_path, capsys, direction):
+    # The lengths come from the listing's own breadth-first search; each
+    # must be that of the element's shortest witness, found forward.
+    rng = rng_for(f"descriptors-{direction}")
+    path = tmp_path / "m.kripke"
+    listed = 0
+    for _ in range(40):
+        K = sparse_kripke(rng, max_states=7)
+        path.write_text(format_kripke(K))
+        for v in K.states:
+            code, out, _ = run(capsys, "descriptors", "--model", str(path), "--state", v, "--dir", direction)
+            elements = witnessed_descriptors(K, v, "forward" if direction == "fwd" else "backward")
+            assert code == 0
+            assert out.splitlines() == [f"{d!r} witness_len={len(shortest_witness(K, d))}" for d in elements]
+            listed += len(elements)
+    assert listed > 2000
+
+
 def test_descriptors_unknown_state(kequiv_path, capsys):
     code, _, err = run(
         capsys, "descriptors", "--model", str(kequiv_path), "--state", "nope", "--dir", "fwd"
     )
     assert code == 2
+
+
+def test_console_entry_exit_codes(kequiv_path):
+    # `python -m intervalmc` exits with `main`'s code through `cli.entry`;
+    # were that code dropped, every run would exit 0 and a `fails` would
+    # read as `holds`.
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).resolve().parents[1]))
+    for formula, expected in (("[A] true", 0), ("p", 1), ("p &", 2)):
+        argv = [sys.executable, "-m", "intervalmc", "check", "--model", str(kequiv_path), "--formula", formula]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == expected, proc.stderr
 
 
 # The subject of a validation error is printed even when its name occurs in

@@ -137,15 +137,15 @@ def test_check_exists_agrees_with_automaton_existence():
 
 
 def test_check_exists_memo_transparency():
+    # The engine's memo changes no answer: it agrees with the memo-free
+    # reference search.
     rng = rng_for("memo")
     for _ in range(20):
         K = random_kripke(rng, max_states=3)
         psi = desugar(random_exists_formula(rng, ("p", "q"), modal_budget=3))
         v = rng.choice(K.states)
         for d in witnessed_descriptors(K, v, "forward"):
-            assert check_exists(K, psi, d, use_memo=True) == check_exists(
-                K, psi, d, use_memo=False
-            )
+            assert check_exists(K, psi, d) == _reference_exists(K, psi, d)
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +234,10 @@ def test_univ_memo_transparency():
     for _ in range(15):
         K = random_kripke(rng, max_states=3)
         psi = desugar(random_forall_formula(rng, ("p", "q"), modal_budget=2))
-        with_memo = model_check_univ(K, psi, use_memo=True)
-        without = model_check_univ(K, psi, use_memo=False)
-        assert with_memo.result == without.result
-        assert with_memo.counterexample == without.counterexample
+        verdict = model_check_univ(K, psi)
+        result, counterexample, _ = _parent_check_univ(K, psi, use_memo=False)
+        assert verdict.result == result
+        assert verdict.counterexample == counterexample
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +415,7 @@ def test_split_agrees_with_brute_force_scan():
                 for d in forward[v]:
                     ok, ref, split = _brute_split(K, forward, splits, sub, d, prefix)
                     by_split += split
-                    for use_memo in (True, False):
-                        got, wit = check_exists(K, phi, d, use_memo=use_memo)
+                    for got, wit in (check_exists(K, phi, d), _reference_exists(K, phi, d)):
                         assert got == ok
                         if ok:
                             _assert_peel_witness(K, sub, d, prefix, wit, ref)
@@ -560,18 +559,30 @@ class _ParentEngine:
         return False, None
 
 
-def _parent_check_univ(K, psi, use_memo):
-    engine = _ParentEngine(K, negate_to_exists(psi), use_memo=use_memo)
-    for d in engine.witnessed(K.init):
+def _reference_exists(K, psi, d):
+    """`check_exists` by the parent reference, without its memo."""
+    engine = _ParentEngine(K, psi, use_memo=False)
+    return engine.check(engine.root, d)
+
+
+def _run(engine, init):
+    """The engine and its (result, counterexample) over the elements from `init`."""
+    for d in engine.witnessed(init):
         ok, wit = engine.check(engine.root, d)
         if ok:
-            return "fails", wit, engine.stats
-    return "holds", None, engine.stats
+            return engine, ("fails", wit)
+    return engine, ("holds", None)
+
+
+def _parent_check_univ(K, psi, use_memo):
+    engine, outcome = _run(_ParentEngine(K, negate_to_exists(psi), use_memo=use_memo), K.init)
+    return (*outcome, engine.stats)
 
 
 def test_engine_matches_parent_reference():
     # Same verdict, counterexample and counters as the engine on
-    # `DescriptorElement`s, with and without the memo on small structures.
+    # `DescriptorElement`s, and on small structures the same verdict and
+    # counterexample as that engine without its memo.
     rng = rng_for("engine-parent")
     fails = runs = 0
     for _ in range(240):
@@ -580,11 +591,12 @@ def test_engine_matches_parent_reference():
         # Without the memo the search grows exponentially with the states
         # and the modal depth.
         small = len(K.states) <= 3 and modal_count(psi) <= 3
-        for use_memo in (True, False) if small else (True,):
-            verdict = model_check_univ(K, psi, use_memo=use_memo)
-            assert (verdict.result, verdict.counterexample, verdict.stats) == _parent_check_univ(K, psi, use_memo)
-            fails += verdict.result == "fails"
-            runs += 1
+        verdict = model_check_univ(K, psi)
+        assert (verdict.result, verdict.counterexample, verdict.stats) == _parent_check_univ(K, psi, True)
+        if small:
+            assert (verdict.result, verdict.counterexample) == _parent_check_univ(K, psi, False)[:2]
+        fails += verdict.result == "fails"
+        runs += 1
     assert 0 < fails < runs
 
 
@@ -598,11 +610,11 @@ def test_peel_reaches_its_own_element():
     )
     psi = desugar(parse_formula("[B]([E](p & [B] p))"))
     d = desc("s0", ("s0",), "s0")
-    for use_memo in (True, False):
-        verdict = model_check_univ(K, psi, use_memo=use_memo)
-        assert verdict.result == "fails"
-        assert verdict.counterexample == ("s0", "s0", "s0", "s0")
-        ok, wit = check_exists(K, parse_formula("<E> !p"), d, use_memo=use_memo)
+    verdict = model_check_univ(K, psi)
+    assert verdict.result == "fails"
+    assert verdict.counterexample == ("s0", "s0", "s0", "s0")
+    assert _parent_check_univ(K, psi, use_memo=False)[:2] == ("fails", verdict.counterexample)
+    for ok, wit in (check_exists(K, parse_formula("<E> !p"), d), _reference_exists(K, parse_formula("<E> !p"), d)):
         assert ok and descriptor_of(wit) == d
 
 
@@ -618,13 +630,8 @@ def _random_adjacent_formula(rng, depth=3):
     return Box(mod, _random_adjacent_formula(rng, depth - 1))
 
 
-def _run_engine(K, psi, use_memo):
-    engine = _ExistsEngine(K, negate_to_exists(psi), use_memo=use_memo)
-    for d in engine.witnessed(K.numbering().ids[K.init]):
-        ok, wit = engine.check(engine.root, d)
-        if ok:
-            return engine, ("fails", wit)
-    return engine, ("holds", None)
+def _run_engine(K, psi):
+    return _run(_ExistsEngine(K, negate_to_exists(psi)), K.ids[K.init])
 
 
 def test_adjacent_endpoint_memo_is_bypassed_without_memo():
@@ -633,8 +640,8 @@ def test_adjacent_endpoint_memo_is_bypassed_without_memo():
     for _ in range(60):
         K = random_kripke(rng, min_states=2, max_states=4)
         psi = desugar(_random_adjacent_formula(rng))
-        with_memo, outcome = _run_engine(K, psi, use_memo=True)
-        without, plain = _run_engine(K, psi, use_memo=False)
+        with_memo, outcome = _run_engine(K, psi)
+        without, plain = _run(_ParentEngine(K, negate_to_exists(psi), use_memo=False), K.init)
         assert outcome == plain
         verdict = model_check_univ(K, psi)
         assert outcome == (verdict.result, verdict.counterexample)

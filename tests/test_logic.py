@@ -241,7 +241,7 @@ def _random_prop(rng, letters, depth):
 
 
 def _label_masks(K):
-    bit = K.numbering().letter_bit
+    bit = K.letter_bit
     masks = [0]
     for p in bit.values():
         masks += [m | p for m in masks]

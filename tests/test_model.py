@@ -19,7 +19,7 @@ from intervalmc import (
 from intervalmc.errors import NotWitnessed, ParseError, ValidationError
 from intervalmc.reductions import CnfFormula, QbfFormula, build_qbf_instance, build_sat_instance
 
-from _instances import random_kripke, random_track, rng_for
+from _instances import random_kripke, random_track, rng_for, shuffle_declaration, sparse_kripke
 from _structures import isomorphic, reach_from, restrict_labels
 
 
@@ -135,6 +135,32 @@ def test_constructor_rejects_label_of_undeclared_state():
             ap=("p",), states=("a",), edges={("a", "a")}, labels={"a": ("p",), "zz": ("p",)}, init="a"
         )
     assert (err.value.reason, err.value.subject) == ("UnknownState", "zz")
+
+
+def test_structure_numbers_its_states_in_sorted_name_order():
+    # The numbering every engine runs on, on structures declared in a random
+    # order; with ten states or more, sorted names (s10 before s2) differ
+    # from numeric order too.
+    rng = rng_for("numbering")
+    for i in range(80):
+        if i % 2:
+            K = sparse_kripke(rng, max_states=14, letters=("p", "q", "r"))
+        else:
+            K = shuffle_declaration(rng, random_kripke(rng, max_states=5, letters=("r", "p", "q")))
+        assert K.names == tuple(sorted(K.states))
+        assert K.ids == {s: i for i, s in enumerate(K.names)}
+        assert K.letter_bit == {p: 1 << i for i, p in enumerate(sorted(K.ap))}
+        for rows in (K.succ, K.pred):
+            assert len(rows) == len(K.states)
+            assert all(list(row) == sorted(set(row)) for row in rows)
+        assert sorted((K.names[a], K.names[b]) for a, row in enumerate(K.succ) for b in row) == sorted(K.edges)
+        assert sorted((K.names[a], K.names[b]) for b, row in enumerate(K.pred) for a in row) == sorted(K.edges)
+        for s in K.states:
+            mask = K.masks[K.ids[s]]
+            assert {p for p, bit in K.letter_bit.items() if mask & bit} == K.labels[s]
+            assert mask < 1 << len(K.ap)
+            assert K.successors(s) == tuple(sorted(w for v, w in K.edges if v == s))
+            assert K.predecessors(s) == tuple(sorted(v for v, w in K.edges if w == s))
 
 
 # ---------------------------------------------------------------------------
