@@ -4,7 +4,8 @@ generators for end-to-end validation.
 """
 
 from .class_checker import ClassEngine, TrackClass, check_ab, class_of
-from .descriptor_checker import Verdict, model_check_univ
+from .cli import check
+from .descriptor_checker import model_check_univ
 from .logic import (
     And,
     Box,
@@ -44,6 +45,7 @@ from .model import (
     witnessed_descriptors,
 )
 from .oracle import BoundedVerdict, default_bound, eval_bounded, model_check_bounded
+from .record import Verdict
 from .reductions import (
     CnfFormula,
     QbfFormula,

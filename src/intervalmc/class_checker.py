@@ -27,9 +27,8 @@ from typing import Optional
 from .errors import NotInFragment, ValidationError
 from .logic import _AB_MODS, And, Const, Implies, Modality, Not, Or, Prop, prop_letters, table_node
 from .logic import classify  # unused; perfbench/tracer.py counts calls through this name
-from .descriptor_checker import Verdict
 from .model import KripkeStructure, Track, check_track, track_label
-from .record import Record
+from .record import Record, Verdict
 
 
 class TrackClass(Record):

@@ -1,12 +1,13 @@
-"""Command-line front end.
+"""Command-line front end, and `check`, the library's one model-checking
+call: it picks the engine, decides when a bounded verdict is exact and
+re-validates the counterexample. `intervalmc check` reads its two files,
+calls `check` and prints the verdict.
 
 Exit codes: 0 holds, 1 fails, 2 input error (for every subcommand: an
-unreadable or malformed input, or an output that cannot be written), 3
-formula outside the selected engine's fragment, 4 approximate verdict
-(bounded oracle on a formula it cannot decide exactly). A formula nested
-deeper than the selected engine can recurse is an input error: `check`
-prints `error: formula nested too deeply for the <engine> engine` and
-exits 2.
+unreadable or malformed input, an output that cannot be written, or a
+formula nested deeper than the selected engine can recurse), 3 formula
+outside the selected engine's fragment, 4 approximate verdict (bounded
+oracle on a formula it cannot decide exactly).
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import time
 import warnings
 
 from . import class_checker, descriptor_checker, logic, model, oracle, reductions
-from .errors import IntervalMCError
+from .errors import IntervalMCError, NotInFragment
+from .record import Verdict
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -28,6 +30,7 @@ EXIT_APPROXIMATE = 4
 
 # The fragment of each exact engine, in `auto`'s order; the rest go to the oracle.
 EXACT_ENGINES = {"descriptor": "ForallAABE", "class": "ABbar"}
+ENGINES = ("auto", *EXACT_ENGINES, "oracle")
 
 # First line of a `gen-sat` model file, followed by the instance's variables.
 SAT_HEADER = "# gen-sat:"
@@ -56,71 +59,75 @@ def _emit(report, as_json):
         print(f"stats.{key}: {report['stats'][key]}")
 
 
+def check(K, formula, engine="auto", bound=None) -> Verdict:
+    """Model check `formula` on `K` with `engine`, one of `ENGINES`.
+
+    `auto` takes the first exact engine whose fragment holds the formula,
+    else the bounded oracle, at `bound` or else at `oracle.default_bound`;
+    `bound` is ignored by the exact engines. The oracle's bounded
+    refutation of a ForallAABE formula is exact (`fails`); its other
+    verdicts read `approximate-true` or `approximate-false`. NotInFragment
+    when a forced exact engine's fragment misses the formula;
+    IntervalMCError when the formula is nested deeper than the engine can
+    recurse, or when a counterexample is not an initial track of `K`.
+    """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}, expected one of {', '.join(ENGINES)}")
+    if bound is not None and bound < 2:
+        raise ValueError("bound must be at least 2")
+    desugared = logic.desugar(formula)
+    root = logic.table_node(desugared)  # the check's one formula table, for every step below
+    frag = logic.classify(root)
+    if engine == "auto":
+        engine = next((e for e, name in EXACT_ENGINES.items() if name in frag.names()), "oracle")
+    elif engine in EXACT_ENGINES and EXACT_ENGINES[engine] not in frag.names():
+        raise NotInFragment(f"formula is not in the {EXACT_ENGINES[engine]} fragment")
+
+    started = time.monotonic()
+    try:
+        if engine == "descriptor":
+            verdict = descriptor_checker.model_check_univ(K, root)
+        elif engine == "class":
+            verdict = class_checker.check_ab(K, root)
+        else:
+            bound = bound if bound is not None else oracle.default_bound(K, desugared)
+            bv = oracle.model_check_bounded(K, root, bound)
+            exact = not bv.value and frag.forall_aabe  # a bounded refutation of a universal formula
+            result = "fails" if exact else "approximate-" + ("true" if bv.value else "false")
+            stats = {"initial_tracks": bv.initial_tracks}
+            verdict = Verdict(result, bv.failing_track if exact else None, engine, stats, bound)
+    except RecursionError:
+        # Uncaught, this would exit 1 in the CLI, which reads as `fails`.
+        raise IntervalMCError(f"formula nested too deeply for the {engine} engine") from None
+    verdict.stats["time_ms"] = round((time.monotonic() - started) * 1000, 3)
+
+    rho = verdict.counterexample
+    if rho is not None and not (model.is_track(K, rho) and rho[0] == K.init):
+        raise IntervalMCError("internal counterexample failed re-validation")
+    return verdict
+
+
 def cmd_check(args) -> int:
     if args.bound is not None and args.bound < 2:
         print("error: --bound must be at least 2", file=sys.stderr)
         return EXIT_INPUT_ERROR
     text = _read(args.model)
     K = model.parse_kripke(text)
-    phi = _load_formula(args)
-    desugared = logic.desugar(phi)
-    root = logic.table_node(desugared)  # the check's one formula table, for every step below
-    frag = logic.classify(root)
-
-    engine, names = args.engine, frag.names()
-    if engine == "auto":
-        engine = next((e for e, name in EXACT_ENGINES.items() if name in names), "oracle")
-        args.engine = engine
-    elif engine in EXACT_ENGINES and EXACT_ENGINES[engine] not in names:
-        print(f"error: formula is not in the {EXACT_ENGINES[engine]} fragment", file=sys.stderr)
-        return EXIT_FRAGMENT
-
-    started = time.monotonic()
-    bound = None
-    if engine == "descriptor":
-        verdict = descriptor_checker.model_check_univ(K, root)
-        result, counterexample, stats = verdict.result, verdict.counterexample, verdict.stats
-    elif engine == "class":
-        verdict = class_checker.check_ab(K, root)
-        result, counterexample, stats = verdict.result, verdict.counterexample, verdict.stats
-    else:
-        bound = args.bound if args.bound is not None else oracle.default_bound(K, desugared)
-        bv = oracle.model_check_bounded(K, root, bound)
-        counterexample = None
-        stats = {"initial_tracks": bv.initial_tracks}
-        if not bv.value and frag.forall_aabe:
-            # A bounded refutation of a universal-fragment formula is exact.
-            result = "fails"
-            counterexample = bv.failing_track
-        elif bv.value:
-            result = "approximate-true"
-        else:
-            result = "approximate-false"
-    stats = dict(stats)
-    stats["time_ms"] = round((time.monotonic() - started) * 1000, 3)
-
-    if counterexample is not None and not (
-        model.is_track(K, counterexample) and counterexample[0] == K.init
-    ):
-        print("error: internal counterexample failed re-validation", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    report = {
-        "result": result,
-        "engine": engine,
-        "counterexample": list(counterexample) if counterexample is not None else None,
-        "stats": stats,
-        "bound": bound,
-    }
+    verdict = check(K, _load_formula(args), args.engine, args.bound)
     first = text.split("\n", 1)[0]
     variables = first[len(SAT_HEADER):].split() if first.startswith(SAT_HEADER) else []
-    if engine == "descriptor" and result == "fails" and variables:
-        report["stats"]["assignment"] = reductions.decode_sat_assignment(variables, K, counterexample)
+    if verdict.result == "fails" and variables:
+        verdict.stats["assignment"] = reductions.decode_sat_assignment(variables, K, verdict.counterexample)
+    rho = verdict.counterexample
+    report = {
+        "result": verdict.result,
+        "engine": verdict.engine,
+        "counterexample": list(rho) if rho is not None else None,
+        "stats": verdict.stats,
+        "bound": verdict.bound,
+    }
     _emit(report, args.json)
-    if result == "holds":
-        return EXIT_HOLDS
-    if result == "fails":
-        return EXIT_FAILS
-    return EXIT_APPROXIMATE
+    return {"holds": EXIT_HOLDS, "fails": EXIT_FAILS}.get(verdict.result, EXIT_APPROXIMATE)
 
 
 def cmd_generate(args) -> int:
@@ -194,9 +201,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         group = check.add_mutually_exclusive_group(required=True)
         group.add_argument("--formula")
         group.add_argument("--formula-file")
-        check.add_argument(
-            "--engine", choices=("auto", "descriptor", "class", "oracle"), default="auto"
-        )
+        check.add_argument("--engine", choices=ENGINES, default="auto")
         check.add_argument("--bound", type=int)
         check.add_argument("--json", action="store_true")
         check.set_defaults(func=cmd_check)
@@ -235,13 +240,11 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
+    except NotInFragment as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FRAGMENT
     except (IntervalMCError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except RecursionError:
-        # Only `check` recurses on a formula. Uncaught, this would exit 1,
-        # which reads as `fails`.
-        print(f"error: formula nested too deeply for the {args.engine} engine", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

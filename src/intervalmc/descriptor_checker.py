@@ -7,7 +7,7 @@ the canonical descriptor order, so verdicts and counterexamples are
 reproducible.
 
 An engine checks one node of a `FormulaTable`: in a check, the dual that
-`negate_to_exists` adds to the table the CLI built. It compiles only the
+`negate_to_exists` adds to the table `check` built. It compiles only the
 nodes below that root, once: each maximal propositional node becomes a
 leaf, compiled by `compile_prop` into a test on letter masks, and each
 disjunction and diamond above the leaves an inner node, with the table's
@@ -33,8 +33,6 @@ track of d.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .errors import NotInFragment
 from .logic import (
     Modality,
@@ -56,28 +54,7 @@ from .model import (
     shortest_witness,
     witnessed_descriptors,  # unused; perfbench/tracer.py counts calls through this name
 )
-from .record import Record
-
-
-class Verdict(Record):
-    """Outcome of a model-level check. A counterexample, present exactly
-    when the result is "fails", is an initial track falsifying the checked
-    formula. `stats` is a fresh dict unless one is given; a verdict is
-    mutable through it, so it has no hash.
-    """
-
-    __slots__ = ("result", "counterexample", "engine", "stats")
-    __hash__ = None
-
-    def __init__(self, result: str, counterexample: Optional[Track], engine: str, stats: Optional[dict] = None):
-        self.result = result
-        self.counterexample = counterexample
-        self.engine = engine
-        self.stats = {} if stats is None else stats
-
-    @property
-    def holds(self) -> bool:
-        return self.result == "holds"
+from .record import Verdict
 
 
 _LEAF = "leaf"  # the kind of a compiled maximal propositional node

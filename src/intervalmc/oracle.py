@@ -7,7 +7,7 @@ bounded `false` is exact. The evaluator favours being obviously correct
 over speed; `tracknfa` is the scalable counterpart for positive diamonds.
 
 It evaluates the nodes of one `logic.FormulaTable` over the state ids of `K`,
-in a check the table the CLI built, and compiles the nodes below a root
+in a check the table `check` built, and compiles the nodes below a root
 only.
 A node with one value on every track is answered at once; any other node
 depends on the first state, the last state, the length, or the whole track

@@ -1,4 +1,5 @@
-"""`Record`, the base class of the package's value types."""
+"""`Record`, the base class of the package's value types, and `Verdict`,
+the outcome of a check."""
 
 
 class Record:
@@ -27,3 +28,26 @@ class Record:
     def __repr__(self):
         inner = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
         return f"{type(self).__qualname__}({inner})"
+
+
+class Verdict(Record):
+    """Outcome of a model-level check. A counterexample, present exactly
+    when the result is "fails", is an initial track falsifying the checked
+    formula. `bound` is the bounded oracle's track length bound, None for
+    the exact engines. `stats` is a fresh dict unless one is given; a
+    verdict is mutable through it, so it has no hash.
+    """
+
+    __slots__ = ("result", "counterexample", "engine", "stats", "bound")
+    __hash__ = None
+
+    def __init__(self, result: str, counterexample, engine: str, stats: dict | None = None, bound: int | None = None):
+        self.result = result
+        self.counterexample = counterexample
+        self.engine = engine
+        self.stats = {} if stats is None else stats
+        self.bound = bound
+
+    @property
+    def holds(self) -> bool:
+        return self.result == "holds"

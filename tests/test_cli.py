@@ -380,7 +380,7 @@ def test_box_over_a_5000_clause_cnf_gets_one_verdict_from_both_engines(tmp_path,
     # the `!` that `gen-sat` puts in front: dualizing it for the descriptor
     # engine negates the 5,000-clause conjunction without recursion. The
     # CNF is unsatisfiable, so the box fails; each engine gives its own
-    # counterexample, which the CLI checks is an initial track.
+    # counterexample, which `check` checks is an initial track.
     rng = random.Random("cli-oracle-5000-clauses")
     lines = ["p cnf 10 5000"]
     for _ in range(5000):
@@ -403,7 +403,7 @@ def test_box_over_a_5000_clause_cnf_gets_one_verdict_from_both_engines(tmp_path,
 
 
 def test_check_builds_one_formula_table_per_engine(kequiv_path, capsys, monkeypatch):
-    # `cmd_check` builds the one table of the check and classifies the
+    # `check` builds the one table of the check and classifies the
     # formula on it; dualization and each engine work on that table.
     scheduler = str(kequiv_path.parent / "scheduler.kripke")
     built = []
@@ -520,6 +520,24 @@ def test_gen_sat_reads_a_satlib_file_to_its_trailer(tmp_path, capsys):
     code, out, _ = run(capsys, "check", "--model", str(model_out), "--formula-file", str(formula_out), "--json")
     assert code == 1
     assignment = json.loads(out)["stats"]["assignment"]
+    assert set(assignment) == {"x1", "x2", "x3"}
+    assert all(any(assignment[f"x{abs(v)}"] == (v > 0) for v in c) for c in ((1, -2, 3), (-1, 2)))
+
+
+@pytest.mark.parametrize("engine", ["class", "oracle"])
+def test_gen_sat_assignment_from_every_refuting_engine(tmp_path, capsys, engine):
+    # The assignment follows the instance: the class engine's and the
+    # oracle's counterexamples decode to a satisfying assignment too.
+    dimacs = tmp_path / "f.cnf"
+    dimacs.write_text("p cnf 3 2\n1 -2 3 0\n-1 2 0\n")
+    model_out, formula_out = tmp_path / "m.kripke", tmp_path / "f.formula"
+    argv = ("gen-sat", "--dimacs", str(dimacs), "--out-model", str(model_out), "--out-formula", str(formula_out))
+    assert run(capsys, *argv)[0] == 0
+    argv = ("check", "--model", str(model_out), "--formula-file", str(formula_out), "--engine", engine, "--json")
+    code, out, _ = run(capsys, *argv)
+    report = json.loads(out)
+    assert (code, report["engine"], report["result"]) == (1, engine, "fails")
+    assignment = report["stats"]["assignment"]
     assert set(assignment) == {"x1", "x2", "x3"}
     assert all(any(assignment[f"x{abs(v)}"] == (v > 0) for v in c) for c in ((1, -2, 3), (-1, 2)))
 

@@ -88,8 +88,8 @@ def test_reprs():
             "BoundedVerdict(value=False, bound=4, failing_track=('v0', 'v1'), initial_tracks=3)",
         ),
         (
-            Verdict("fails", ("v0", "v1"), "class", {"n": 1}),
-            "Verdict(result='fails', counterexample=('v0', 'v1'), engine='class', stats={'n': 1})",
+            Verdict("fails", ("v0", "v1"), "oracle", {"n": 1}, 4),
+            "Verdict(result='fails', counterexample=('v0', 'v1'), engine='oracle', stats={'n': 1}, bound=4)",
         ),
         (CnfFormula(2, ((1, -2),)), "CnfFormula(num_vars=2, clauses=((1, -2),))"),
         (
@@ -116,7 +116,7 @@ def test_instances_have_slots_only():
 
 def test_verdict_defaults_and_hash():
     a, b = Verdict("holds", None, "class"), Verdict("holds", None, "class")
-    assert a.stats == {} and a.stats is not b.stats
+    assert a.stats == {} and a.stats is not b.stats and a.bound is None
     a.stats["n"] = 1
     assert b.stats == {} and a != b
     given = {"k": 2}
