@@ -3,7 +3,7 @@ Kripke structures, with a bounded brute-force oracle and SAT/QBF instance
 generators for end-to-end validation.
 """
 
-from .class_checker import ClassEngine, TrackClass, check_ab, class_of
+from .class_checker import ClassEngine, check_ab
 from .cli import check
 from .descriptor_checker import model_check_univ
 from .logic import (

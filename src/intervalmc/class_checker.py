@@ -7,7 +7,8 @@ that hold on it and its last state, so each equivalence class can be
 evaluated once. Classes are generated from the length-2 seed tracks and
 closed under single-state extension. A class is a dense int id, keyed by
 mask * |W| + last state id, with the mask over the formula's letters and
-state ids from `KripkeStructure.ids`. A root in a `FormulaTable`
+state ids from `KripkeStructure.ids`; only `_build_classes` and
+`find_initial_track` build or decode that key. A root in a `FormulaTable`
 and each node below it get an int bitset over ids as their truth set.
 
 `<A>` and `<~B>` both search backwards from their operand's truth set over
@@ -20,34 +21,14 @@ gives both the verdict and the shortest counterexample.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import chain, compress, count
 from typing import Optional
 
-from .errors import NotInFragment, ValidationError
-from .logic import _AB_MODS, And, Const, Implies, Modality, Not, Or, Prop, prop_letters, table_node
+from .errors import NotInFragment
+from .logic import _AB_MODS, And, Const, Implies, Modality, Not, Or, Prop, table_node
 from .logic import classify  # unused; perfbench/tracer.py counts calls through this name
-from .model import KripkeStructure, Track, check_track, track_label
-from .record import Record, Verdict
-
-
-class TrackClass(Record):
-    __slots__ = ("letters", "last")
-
-    def __init__(self, letters: frozenset, last: str):
-        self.letters = letters
-        self.last = last
-
-    def __repr__(self):
-        inner = ",".join(sorted(self.letters))
-        return f"({{{inner}}}, {self.last})"
-
-
-def class_of(K: KripkeStructure, psi, rho: Track) -> TrackClass:
-    """Quotient image of a track: its label restricted to the letters of
-    the formula, paired with its last state. ValidationError for a non-track."""
-    rho = check_track(K, rho)
-    return TrackClass(track_label(K, rho) & prop_letters(psi), rho[-1])
+from .model import KripkeStructure, Track
+from .record import Verdict
 
 
 # `_FLAG_OF_BIT[j]` maps a byte to b"1" if its bit j is set, else to b"0";
@@ -140,35 +121,6 @@ class ClassEngine:
                 flags[c] = 49
                 todo += edges[c]
         return int(flags[::-1], 2)
-
-    @cached_property
-    def _id_of(self) -> dict:
-        """Id of every realized class, in id order."""
-        names, letters, n = self.K.names, self._letters, len(self.K.states)
-        return {
-            TrackClass(frozenset(p for i, p in enumerate(letters) if key // n >> i & 1), names[key % n]): c
-            for c, key in enumerate(self._keys)
-        }
-
-    @cached_property
-    def classes(self) -> frozenset:
-        """Every realized class."""
-        return frozenset(self._id_of)
-
-    def classes_from(self, v) -> frozenset:
-        """Classes of the tracks starting at `v`: its seed classes and every
-        class reached from them. ValidationError for an undeclared state."""
-        i = self.K.ids.get(v)
-        if i is None:
-            raise ValidationError("UnknownState", v)
-        named = list(self._id_of)
-        return frozenset(named[c] for c in _members(self._closure(self._seeds[i], self._class_succ)))
-
-    def truth(self, phi, c: TrackClass) -> bool:
-        """Truth of a subformula on every track of the class."""
-        sat = self._truth[self._table.find(phi)]
-        cid = self._id_of.get(c)
-        return cid is not None and bool(sat >> cid & 1)
 
     def _evaluate(self) -> dict:
         truth, full = {}, (1 << len(self._keys)) - 1

@@ -115,8 +115,8 @@ def cmd_check(args) -> int:
     K = model.parse_kripke(text)
     verdict = check(K, _load_formula(args), args.engine, args.bound)
     first = text.split("\n", 1)[0]
-    variables = first[len(SAT_HEADER):].split() if first.startswith(SAT_HEADER) else []
-    if verdict.result == "fails" and variables:
+    if verdict.result == "fails" and first.startswith(SAT_HEADER):
+        variables = first[len(SAT_HEADER):].split()
         verdict.stats["assignment"] = reductions.decode_sat_assignment(variables, K, verdict.counterexample)
     rho = verdict.counterexample
     report = {

@@ -181,7 +181,8 @@ class FormulaTable:
     name, None)`, `(Const, value, None)`, `(Not, sub, None)`, `(And|Or|Implies,
     left, right)` or `(modality, sub, is_diamond)`, with child ids below `i`.
     Keyed by these tuples, equal subformulas share one id and no formula is
-    hashed; built over `subformulas`, depth costs no recursion.
+    hashed; built over `subformulas`, depth costs no recursion. `add` is
+    also the lookup: a formula the table holds gets its id and adds nothing.
 
     A node's facts are set as it is added: `formulas[i]` is a formula of
     it, `mods[i]` the mask of its modalities, `prop[i]` says it has none,
@@ -200,13 +201,6 @@ class FormulaTable:
 
     def add(self, phi) -> int:
         """Id of `phi`, adding it and its subformulas on first use."""
-        return self._walk(phi, True)
-
-    def find(self, phi) -> int:
-        """Id of `phi`; KeyError when the table does not hold it."""
-        return self._walk(phi, False)
-
-    def _walk(self, phi, add: bool) -> int:
         ids = []
         for f in subformulas(phi):
             kind = type(f)
@@ -223,7 +217,7 @@ class FormulaTable:
                 node = (kind, a, b)
             else:
                 raise TypeError(f"not a formula node: {f!r}")
-            ids.append(self._add(node, f) if add else self._ids[node])
+            ids.append(self._add(node, f))
         return ids.pop()
 
     def _add(self, node, f) -> int:

@@ -14,7 +14,7 @@ from intervalmc import (
     witnessed_descriptors,
     shortest_witness,
 )
-from intervalmc.class_checker import ClassEngine, check_ab, class_of
+from intervalmc.class_checker import ClassEngine, check_ab
 from intervalmc.descriptor_checker import model_check_univ
 from intervalmc.logic import (
     Not,
@@ -39,6 +39,7 @@ from intervalmc.reductions import (
 from intervalmc.tracknfa import accepts_track, compile_positive, find_satisfying_track
 
 from _check_exists import check_exists
+from _class_view import ClassView
 from _instances import (
     random_ab_formula,
     random_cnf,
@@ -148,23 +149,23 @@ def test_criterion_5_quotient_property():
     for _ in range(100):
         K = random_kripke(rng, max_states=4)
         psi = desugar(random_ab_formula(rng, ("p", "q"), max_nodes=6))
-        engine = ClassEngine(K, psi)
+        view = ClassView(ClassEngine(K, psi))
         copy, names = _renamed_copy(K)
-        engine2 = ClassEngine(copy, psi)
+        view2 = ClassView(ClassEngine(copy, psi))
         nodes = set(subformulas(psi))
         verdict_by_class = {}
         for rho in enumerate_tracks(K, 8):
-            c = class_of(K, psi, rho)
-            verdict = engine.truth(psi, c)
+            c = view.of_track(rho)
+            verdict = view.holds(psi, c)
             if c in verdict_by_class:
                 assert verdict_by_class[c] == verdict
             else:
                 verdict_by_class[c] = verdict
             rho2 = tuple(names[s] for s in rho)
-            c2 = class_of(copy, psi, rho2)
-            assert c2.letters == c.letters and c2.last == names[c.last]
+            c2 = view2.of_track(rho2)
+            assert c2 == (c[0], names[c[1]])
             for node in nodes:
-                assert engine.truth(node, c) == engine2.truth(node, c2)
+                assert view.holds(node, c) == view2.holds(node, c2)
         assert check_ab(K, psi).result == check_ab(copy, psi).result
     _report(5, "class quotient property", started, 60)
 

@@ -3,8 +3,8 @@ from itertools import chain
 import pytest
 
 from intervalmc import KripkeStructure, enumerate_tracks, is_track, track_label
-from intervalmc.class_checker import ClassEngine, TrackClass, check_ab, class_of
-from intervalmc.errors import NotInFragment, ValidationError
+from intervalmc.class_checker import ClassEngine, check_ab
+from intervalmc.errors import NotInFragment
 from intervalmc.logic import (
     And,
     Box,
@@ -25,16 +25,8 @@ from intervalmc.logic import (
 from intervalmc.reductions import CnfFormula, QbfFormula, build_qbf_instance
 from intervalmc.tracknfa import accepts_track, compile_positive
 
+from _class_view import ClassView
 from _instances import random_ab_formula, random_kripke, random_positive_formula, random_qbf, rng_for
-
-
-def test_class_of_examples(kequiv):
-    psi = parse_formula("p | !p")
-    assert class_of(kequiv, psi, ("v0", "v0")) == TrackClass(frozenset({"p"}), "v0")
-    assert class_of(kequiv, psi, ("v0", "v1")) == TrackClass(frozenset(), "v1")
-    empty = parse_formula("true")
-    for rho in enumerate_tracks(kequiv, 3):
-        assert class_of(kequiv, empty, rho) == TrackClass(frozenset(), rho[-1])
 
 
 def test_check_ab_examples(kequiv):
@@ -64,23 +56,6 @@ def test_class_engine_requires_desugared_formula(kequiv):
         ClassEngine(kequiv, parse_formula("<A> <D> p"))
 
 
-def test_classes_from_unknown_state(kequiv):
-    engine = ClassEngine(kequiv, parse_formula("<A> p"))
-    with pytest.raises(ValidationError) as err:
-        engine.classes_from("zz")
-    assert (err.value.reason, err.value.subject) == ("UnknownState", "zz")
-
-
-def test_class_of_refuses_a_non_track(kequiv):
-    p = parse_formula("p")
-    with pytest.raises(ValidationError) as err:
-        class_of(kequiv, p, ("zz", "v0"))
-    assert (err.value.reason, err.value.subject) == ("UnknownState", "zz")
-    with pytest.raises(ValidationError) as err:
-        class_of(kequiv, p, ("v0",))
-    assert err.value.reason == "NotATrack"
-
-
 def test_realized_class_count_bound():
     rng = rng_for("classcount")
     for _ in range(30):
@@ -88,7 +63,7 @@ def test_realized_class_count_bound():
         psi = desugar(random_ab_formula(rng, ("p", "q")))
         engine = ClassEngine(K, psi)
         limit = (2 ** len(prop_letters(psi))) * len(K.states)
-        assert len(engine.classes) <= limit
+        assert len(ClassView(engine).classes) <= limit
 
 
 def test_every_enumerated_track_lands_in_a_realized_class():
@@ -96,11 +71,11 @@ def test_every_enumerated_track_lands_in_a_realized_class():
     for _ in range(20):
         K = random_kripke(rng, max_states=4)
         psi = desugar(random_ab_formula(rng, ("p", "q")))
-        engine = ClassEngine(K, psi)
+        view = ClassView(ClassEngine(K, psi))
         for rho in enumerate_tracks(K, 5):
-            c = class_of(K, psi, rho)
-            assert c in engine.classes
-            assert c in engine.classes_from(rho[0])
+            c = view.of_track(rho)
+            assert c in view.id
+            assert c in view.reach(rho[0])
 
 
 def test_equal_class_tracks_get_identical_table_verdicts():
@@ -108,12 +83,12 @@ def test_equal_class_tracks_get_identical_table_verdicts():
     for _ in range(15):
         K = random_kripke(rng, max_states=3)
         psi = desugar(random_ab_formula(rng, ("p", "q")))
-        engine = ClassEngine(K, psi)
+        view = ClassView(ClassEngine(K, psi))
         by_class = {}
         for rho in enumerate_tracks(K, 6):
-            by_class.setdefault(class_of(K, psi, rho), set()).add(rho)
+            by_class.setdefault(view.of_track(rho), set()).add(rho)
         for c, tracks in by_class.items():
-            verdicts = {engine.truth(psi, class_of(K, psi, rho)) for rho in tracks}
+            verdicts = {view.holds(psi, view.of_track(rho)) for rho in tracks}
             assert len(verdicts) == 1
 
 
@@ -137,16 +112,14 @@ def test_quotient_agrees_across_isomorphic_copy():
         K = random_kripke(rng, max_states=3)
         psi = desugar(random_ab_formula(rng, ("p", "q")))
         K2, names = _renamed_copy(K)
-        e1 = ClassEngine(K, psi)
-        e2 = ClassEngine(K2, psi)
+        view1 = ClassView(ClassEngine(K, psi))
+        view2 = ClassView(ClassEngine(K2, psi))
         assert check_ab(K, psi).result == check_ab(K2, psi).result
         for rho in enumerate_tracks(K, 5):
             rho2 = tuple(names[s] for s in rho)
             assert track_label(K, rho) == track_label(K2, rho2)
             for sub in set(subformulas(psi)):
-                assert e1.truth(sub, class_of(K, psi, rho)) == e2.truth(
-                    sub, class_of(K2, psi, rho2)
-                )
+                assert view1.holds(sub, view1.of_track(rho)) == view2.holds(sub, view2.of_track(rho2))
 
 
 def test_full_fragment_agrees_with_naive_bounded_oracle():
@@ -168,9 +141,9 @@ def test_full_fragment_agrees_with_naive_bounded_oracle():
             continue
         checked += 1
         ev = BoundedEvaluator(K, bound)
-        engine = ClassEngine(K, psi)
+        view = ClassView(ClassEngine(K, psi))
         for rho in enumerate_tracks(K, track_cap, start=K.init):
-            assert engine.truth(psi, class_of(K, psi, rho)) == ev.eval(rho, psi)
+            assert view.holds(psi, view.of_track(rho)) == ev.eval(rho, psi)
     assert checked >= 25
 
 
@@ -189,11 +162,11 @@ def test_positive_fragment_agrees_with_bounded_automaton():
         slack = (2 ** len(prop_letters(psi))) * len(K.states) * (modal_count(psi) + 1)
         bound = track_cap + slack
         verdict = check_ab(K, psi)
-        engine = ClassEngine(K, psi)
+        view = ClassView(ClassEngine(K, psi))
         auto = compile_positive(K, psi, bound)
         for rho in enumerate_tracks(K, track_cap, start=K.init):
             bounded = accepts_track(auto, rho, bound)
-            table = engine.truth(psi, class_of(K, psi, rho))
+            table = view.holds(psi, view.of_track(rho))
             assert bounded == table
         if verdict.result == "fails":
             ce = verdict.counterexample
@@ -203,7 +176,7 @@ def test_positive_fragment_agrees_with_bounded_automaton():
 
 class _FrozensetEngine:
     """Reference copy of the class engine before class ids: classes are
-    `TrackClass` values closed as a set, truth sets are frozensets filled by
+    `(letters, last state)` tuples closed as a set, truth sets are frozensets filled by
     recursive evaluation, and `<~B>` searches backwards over a predecessor
     map built for each call."""
 
@@ -214,7 +187,7 @@ class _FrozensetEngine:
         while frontier:
             c = frontier.pop()
             if c not in self.succ:
-                self.succ[c] = [self._step(c.letters, w) for w in K.successors(c.last)]
+                self.succ[c] = [self._step(c[0], w) for w in K.successors(c[1])]
                 frontier.extend(self.succ[c])
         self.classes = frozenset(self.succ)
         self.from_ = {v: self._closure(seeds[v]) for v in K.states}
@@ -222,7 +195,7 @@ class _FrozensetEngine:
         self.eval(psi)
 
     def _step(self, letters, w):
-        return TrackClass(letters & self.K.labels[w] & self.pl, w)
+        return letters & self.K.labels[w] & self.pl, w
 
     def _closure(self, start):
         reach, todo = set(start), list(start)
@@ -254,7 +227,7 @@ class _FrozensetEngine:
     def _eval(self, phi):
         every = self.classes
         if isinstance(phi, Prop):
-            return frozenset(c for c in every if phi.name in c.letters)
+            return frozenset(c for c in every if phi.name in c[0])
         if isinstance(phi, Const):
             return every if phi.value else frozenset()
         if isinstance(phi, Not):
@@ -271,7 +244,7 @@ class _FrozensetEngine:
                 good = {v for v in self.K.states if self.from_[v] & sub}
             else:
                 good = {v for v in self.K.states if self.from_[v] <= sub}
-            return frozenset(c for c in every if c.last in good)
+            return frozenset(c for c in every if c[1] in good)
         if isinstance(phi, Diamond):
             return self._can_reach(sub)
         return every - self._can_reach(every - sub)
@@ -287,7 +260,7 @@ class _FrozensetEngine:
         while frontier:
             nxt = []
             for track in frontier:
-                letters = K.labels[track[0]] if len(track) == 1 else self._class(track).letters
+                letters = K.labels[track[0]] if len(track) == 1 else self._class(track)[0]
                 for w in K.successors(track[-1]):
                     c = self._step(letters, w)
                     if c not in seen:
@@ -299,7 +272,7 @@ class _FrozensetEngine:
         raise AssertionError("violating class not reached")
 
     def _class(self, track):
-        return TrackClass(track_label(self.K, track) & self.pl, track[-1])
+        return track_label(self.K, track) & self.pl, track[-1]
 
 
 def test_class_ids_agree_with_frozenset_reference():
@@ -310,13 +283,13 @@ def test_class_ids_agree_with_frozenset_reference():
         K = random_kripke(rng, max_states=6, letters=letters)
         psi = desugar(random_ab_formula(rng, letters, max_nodes=8))
         ref = _FrozensetEngine(K, psi)
-        engine = ClassEngine(K, psi)
-        assert engine.classes == ref.classes
+        view = ClassView(ClassEngine(K, psi))
+        assert set(view.classes) == ref.classes
         for v in K.states:
-            assert engine.classes_from(v) == ref.from_[v]
+            assert view.reach(v) == ref.from_[v]
         for sub in set(subformulas(psi)):
             for c in ref.classes:
-                assert engine.truth(sub, c) == (c in ref.sat[sub])
+                assert view.holds(sub, c) == (c in ref.sat[sub])
         verdict = check_ab(K, psi)
         assert (verdict.result, verdict.counterexample) == ref.check(psi)
         assert verdict.stats["classes_realized"] == len(ref.classes)
@@ -347,13 +320,13 @@ def test_nested_a_formulas_agree_with_frozenset_reference():
         K = random_kripke(rng, min_states=3, max_states=8, letters=letters)
         psi = desugar(_nested_a_formula(rng, letters, rng.randint(3, 5)))
         ref = _FrozensetEngine(K, psi)
-        engine = ClassEngine(K, psi)
-        assert engine.classes == ref.classes
+        view = ClassView(ClassEngine(K, psi))
+        assert set(view.classes) == ref.classes
         for v in K.states:
-            assert engine.classes_from(v) == ref.from_[v]
+            assert view.reach(v) == ref.from_[v]
         for sub in set(subformulas(psi)):
             for c in ref.classes:
-                assert engine.truth(sub, c) == (c in ref.sat[sub])
+                assert view.holds(sub, c) == (c in ref.sat[sub])
         verdict = check_ab(K, psi)
         assert (verdict.result, verdict.counterexample) == ref.check(psi)
         fails += verdict.result == "fails"
@@ -386,8 +359,7 @@ class _TwoStepSearch:
         self.K, self.index, self.keys = K, index, keys
         self.seeds, self.succ = rows[:n], rows[n:]
         self.named = [
-            TrackClass(frozenset(p for i, p in enumerate(letters) if key // n >> i & 1), K.states[key % n])
-            for key in keys
+            (frozenset(p for i, p in enumerate(letters) if key // n >> i & 1), K.states[key % n]) for key in keys
         ]
 
     def from_(self, v):
@@ -442,14 +414,14 @@ def test_single_search_agrees_with_two_step_reference():
     fails = 0
     for K, psi in pairs:
         verdict = check_ab(K, psi)
-        engine = ClassEngine(K, psi)
-        ref = _TwoStepSearch(K, engine.pl)
-        sat = engine._truth[engine._root]
-        result = ref.check(lambda c: bool(sat >> engine._id_of[c] & 1))
+        view = ClassView(ClassEngine(K, psi))
+        ref = _TwoStepSearch(K, view.engine.pl)
+        sat = view.engine._truth[view.engine._root]
+        result = ref.check(lambda c: bool(sat >> view.id[c] & 1))
         assert (verdict.result, verdict.counterexample) == result
         assert verdict.stats["classes_realized"] == len(ref.keys)
-        assert engine.classes == frozenset(ref.named)
+        assert set(view.classes) == set(ref.named)
         for v in K.states:
-            assert engine.classes_from(v) == {ref.named[c] for c in ref.from_(v)}
+            assert view.reach(v) == {ref.named[c] for c in ref.from_(v)}
         fails += verdict.result == "fails"
     assert 200 <= fails <= 900

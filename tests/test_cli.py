@@ -527,19 +527,21 @@ def test_gen_sat_reads_a_satlib_file_to_its_trailer(tmp_path, capsys):
 @pytest.mark.parametrize("engine", ["class", "oracle"])
 def test_gen_sat_assignment_from_every_refuting_engine(tmp_path, capsys, engine):
     # The assignment follows the instance: the class engine's and the
-    # oracle's counterexamples decode to a satisfying assignment too.
+    # oracle's counterexamples decode to a satisfying assignment too. The
+    # instance with no variables is satisfied by the empty assignment.
     dimacs = tmp_path / "f.cnf"
-    dimacs.write_text("p cnf 3 2\n1 -2 3 0\n-1 2 0\n")
     model_out, formula_out = tmp_path / "m.kripke", tmp_path / "f.formula"
-    argv = ("gen-sat", "--dimacs", str(dimacs), "--out-model", str(model_out), "--out-formula", str(formula_out))
-    assert run(capsys, *argv)[0] == 0
-    argv = ("check", "--model", str(model_out), "--formula-file", str(formula_out), "--engine", engine, "--json")
-    code, out, _ = run(capsys, *argv)
-    report = json.loads(out)
-    assert (code, report["engine"], report["result"]) == (1, engine, "fails")
-    assignment = report["stats"]["assignment"]
-    assert set(assignment) == {"x1", "x2", "x3"}
-    assert all(any(assignment[f"x{abs(v)}"] == (v > 0) for v in c) for c in ((1, -2, 3), (-1, 2)))
+    for text, clauses in (("p cnf 3 2\n1 -2 3 0\n-1 2 0\n", ((1, -2, 3), (-1, 2))), ("p cnf 0 0\n", ())):
+        dimacs.write_text(text)
+        argv = ("gen-sat", "--dimacs", str(dimacs), "--out-model", str(model_out), "--out-formula", str(formula_out))
+        assert run(capsys, *argv)[0] == 0
+        argv = ("check", "--model", str(model_out), "--formula-file", str(formula_out), "--engine", engine, "--json")
+        code, out, _ = run(capsys, *argv)
+        report = json.loads(out)
+        assert (code, report["engine"], report["result"]) == (1, engine, "fails")
+        assignment = report["stats"]["assignment"]
+        assert set(assignment) == {f"x{v}" for c in clauses for v in map(abs, c)}
+        assert all(any(assignment[f"x{abs(v)}"] == (v > 0) for v in c) for c in clauses)
 
 
 def test_sat_shaped_structure_without_header_gets_no_assignment(tmp_path, capsys):

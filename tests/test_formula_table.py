@@ -157,19 +157,16 @@ def test_table_shares_equal_subformulas():
     root = table.add(phi)
     # p, <A> p, !p, [~B] !p, the disjunction and the conjunction.
     assert len(table.nodes) == 6
-    assert table.add(parse_formula("<A> p")) == table.find(Diamond(Modality.A, Prop("p"))) < root
+    assert table.add(parse_formula("<A> p")) == table.add(Diamond(Modality.A, Prop("p"))) < root
     assert table.add(phi) == root and len(table.nodes) == 6
     assert table.prop == [True, False, True, False, False, False]
     assert table.formulas[root] == phi
     assert all(child < i for i, (_, a, b) in enumerate(table.nodes) for child in (a, b) if type(child) is int)
 
 
-def test_find_adds_nothing():
+def test_add_refuses_a_non_formula():
     table = FormulaTable()
     table.add(parse_formula("p & q"))
-    with pytest.raises(KeyError):
-        table.find(parse_formula("p & !q"))
-    assert len(table.nodes) == 3
     with pytest.raises(TypeError):
         table.add(And(Prop("p"), 5))
 
@@ -283,6 +280,7 @@ def test_table_dual_of_deep_and_wide_formulas_matches_the_ast_pass():
         assert refused == isinstance(psi, Diamond)
     # The dual of a Boolean root is one node, whatever its size.
     size = len(shared.nodes)
-    assert negate_to_exists(table_node(Not(cnf), shared)).id == shared.find(cnf)
-    assert negate_to_exists(table_node(cnf, shared)).id == shared.find(Not(cnf))
+    assert negate_to_exists(table_node(Not(cnf), shared)).id == shared.add(cnf)
+    assert negate_to_exists(table_node(cnf, shared)).id == shared.add(Not(cnf))
+    assert len(shared.nodes) == size  # `cnf` and `!cnf` were held already
     assert negate_to_exists(table_node(Or(cnf, cnf), shared)).id == size + 1

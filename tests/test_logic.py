@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intervalmc import DescriptorElement, track_label
 from intervalmc.errors import NotInFragment, NotPropositional, ParseError, UnknownModality
@@ -7,6 +8,7 @@ from intervalmc.logic import (
     Box,
     Diamond,
     FALSE,
+    FormulaTable,
     Implies,
     Modality,
     Not,
@@ -97,6 +99,30 @@ def test_to_text_round_trips():
     samples += [parse_formula("start -> <~B>((<A> x1_aux) & x1)")]
     for phi in samples:
         assert parse_formula(to_text(phi)) == phi
+
+
+def _extend(sub):
+    binary = st.builds(lambda op, a, b: op(a, b), st.sampled_from((And, Or, Implies)), sub, sub)
+    modal = st.builds(lambda op, m, a: op(m, a), st.sampled_from((Diamond, Box)), st.sampled_from(Modality), sub)
+    return st.builds(Not, sub) | binary | modal
+
+
+# Every modality as a diamond and as a box, the connectives, both constants
+# and three letters; 250 derandomized draws reach each of them.
+formulas = st.recursive(st.sampled_from((TRUE, FALSE, Prop("p"), Prop("q"), Prop("x1_aux"))), _extend, max_leaves=10)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=250)
+@given(formulas)
+def test_to_text_round_trips_over_every_modality_and_through_the_table(phi):
+    again = parse_formula(to_text(phi))
+    assert again == phi
+    table = FormulaTable()
+    i = table.add(phi)
+    assert table.formulas[i] == phi
+    size = len(table.nodes)
+    assert table.add(again) == i and len(table.nodes) == size
+    classify(desugar(phi))
 
 
 # ---------------------------------------------------------------------------

@@ -878,7 +878,8 @@ def test_evaluator_keeps_to_the_table_of_its_first_node(kequiv):
     ev = BoundedEvaluator(kequiv, 4)
     assert ev.compile(node) == node.id
     later = ev.compile(parse_formula("<B> p"))
-    assert node.table.find(parse_formula("<B> p")) == later
+    size = len(node.table.nodes)
+    assert node.table.add(parse_formula("<B> p")) == later and len(node.table.nodes) == size
     assert ev.eval(("v0", "v1"), node) == eval_bounded(kequiv, ("v0", "v1"), parse_formula("<A> q"), 4)
     with pytest.raises(ValueError):
         ev.compile(table_node(parse_formula("<A> q")))

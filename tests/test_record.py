@@ -14,7 +14,6 @@ import weakref
 
 import pytest
 
-from intervalmc.class_checker import TrackClass
 from intervalmc.descriptor_checker import Verdict
 from intervalmc.errors import NonPrenex, OutOfRangeLiteral
 from intervalmc.logic import (
@@ -35,12 +34,24 @@ from intervalmc.logic import (
 )
 from intervalmc.model import DescriptorElement
 from intervalmc.oracle import BoundedVerdict
+from intervalmc.record import Record
 from intervalmc.reductions import CnfFormula, QbfFormula
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 PKG = "intervalmc"
 
 P, Q = Prop("p"), Prop("q")
+
+
+class Pair(Record):
+    """A record with the default repr, defined here so that the cases below
+    need no value type of the package."""
+
+    __slots__ = ("letters", "last")
+
+    def __init__(self, letters: frozenset, last: str):
+        self.letters = letters
+        self.last = last
 
 
 def test_equality_is_by_type_and_fields():
@@ -52,13 +63,13 @@ def test_equality_is_by_type_and_fields():
     assert Not(P) != Not(Q)
     assert Const(True) == TRUE and TRUE != FALSE
     assert P != "p" and P != ("p",)
-    assert TrackClass(frozenset({"p"}), "v0") != DescriptorElement("v0", frozenset({"p"}), "v0")
+    assert Pair(frozenset({"p"}), "v0") != DescriptorElement("v0", frozenset({"p"}), "v0")
 
 
 def test_equal_values_hash_equal():
     pairs = (
         (Box(Modality.B, And(P, Not(Q))), Box(Modality.B, And(Prop("p"), Not(Prop("q"))))),
-        (TrackClass(frozenset({"p"}), "v0"), TrackClass(frozenset({"p"}), "v0")),
+        (Pair(frozenset({"p"}), "v0"), Pair(frozenset({"p"}), "v0")),
         (DescriptorElement("a", frozenset("b"), "c"), DescriptorElement("a", frozenset("b"), "c")),
         (BoundedVerdict(True, 3), BoundedVerdict(True, 3, None, 0)),
         (CnfFormula(2, ((1, -2),)), CnfFormula(2, ((1, -2),))),
@@ -96,7 +107,7 @@ def test_reprs():
             QbfFormula((("e", 1),), CnfFormula(1, ((1,),))),
             "QbfFormula(prefix=(('e', 1),), matrix=CnfFormula(num_vars=1, clauses=((1,),)))",
         ),
-        (TrackClass(frozenset({"p", "q"}), "v0"), "({p,q}, v0)"),
+        (Pair(frozenset({"p"}), "v0"), "Pair(letters=frozenset({'p'}), last='v0')"),
         (DescriptorElement("v0", frozenset({"v1", "v2"}), "v1"), "(v0, {v1,v2}, v1)"),
     )
     for value, text in cases:
@@ -107,7 +118,7 @@ def test_instances_have_slots_only():
     values = (
         P, TRUE, Not(P), And(P, Q), Or(P, Q), Implies(P, Q), Diamond(Modality.A, P), Box(Modality.A, P),
         Fragment(True, True, True, True, frozenset()), DescriptorElement("a", frozenset(), "a"),
-        TrackClass(frozenset(), "a"), Verdict("holds", None, "class"), BoundedVerdict(True, 2),
+        Pair(frozenset(), "a"), Verdict("holds", None, "class"), BoundedVerdict(True, 2),
         CnfFormula(0, ()), QbfFormula((), CnfFormula(0, ())),
     )
     for value in values:

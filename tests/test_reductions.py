@@ -1,7 +1,7 @@
 import pytest
 
 from intervalmc import is_track, parse_kripke, format_kripke
-from intervalmc.class_checker import ClassEngine, check_ab, class_of
+from intervalmc.class_checker import ClassEngine, check_ab
 from intervalmc.descriptor_checker import model_check_univ
 from intervalmc.errors import NonPrenex, OutOfRangeLiteral, ParseError, TooManyVariables
 from intervalmc.logic import classify, desugar, parse_formula, prop_letters, to_text
@@ -18,6 +18,7 @@ from intervalmc.reductions import (
     parse_qdimacs,
 )
 
+from _class_view import ClassView
 from _instances import random_cnf, random_qbf, rng_for
 
 
@@ -223,7 +224,8 @@ def test_qbf_instance_differential_at_benchmark_sizes():
         if verdict.result == "fails":
             ce = verdict.counterexample
             assert is_track(K, ce) and ce[0] == K.init == "w0"
-            assert not ClassEngine(K, xi).truth(xi, class_of(K, xi, ce))
+            view = ClassView(ClassEngine(K, xi))
+            assert not view.holds(xi, view.of_track(ce))
     assert {"holds", "fails"} <= set(verdicts)
 
 
@@ -257,7 +259,8 @@ def test_qbf_instance_differential_at_largest_benchmark_sizes():
             if not want:
                 ce = verdict.counterexample
                 assert is_track(K, ce) and ce[0] == K.init
-                assert not ClassEngine(K, xi).truth(xi, class_of(K, xi, ce))
+                view = ClassView(ClassEngine(K, xi))
+                assert not view.holds(xi, view.of_track(ce))
 
 
 def test_qbf_instance_round_trip_through_files(tmp_path):
