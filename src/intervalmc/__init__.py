@@ -35,7 +35,6 @@ from .model import (
     KripkeStructure,
     Track,
     concat_desc,
-    descriptor_of,
     enumerate_tracks,
     format_kripke,
     is_track,

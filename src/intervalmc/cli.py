@@ -17,6 +17,7 @@ import json
 import sys
 import time
 import warnings
+from functools import cache
 
 from . import class_checker, descriptor_checker, logic, model, oracle, reductions
 from .errors import IntervalMCError, NotInFragment
@@ -184,8 +185,9 @@ def cmd_descriptors(args) -> int:
 COMMANDS = ("check", "gen-sat", "gen-qbf", "classify", "descriptors")
 
 
+@cache
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or, given `command`, of that one only."""
+    """The parser of every subcommand, or of `command` only; built once per process and only read."""
     parser = argparse.ArgumentParser(
         prog="intervalmc",
         description="Model checking for interval temporal logic fragments over finite Kripke structures.",

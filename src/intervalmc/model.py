@@ -174,11 +174,6 @@ def track_label(K: KripkeStructure, rho: Iterable[str]) -> frozenset:
     return letters
 
 
-def descriptor_of(rho: Iterable[str]) -> DescriptorElement:
-    rho = tuple(rho)
-    return DescriptorElement(rho[0], frozenset(rho[1:-1]), rho[-1])
-
-
 def concat_desc(d1: DescriptorElement, d2: DescriptorElement) -> DescriptorElement:
     interior = d1.interior | {d1.v_fin, d2.v_in} | d2.interior
     return DescriptorElement(d1.v_in, frozenset(interior), d2.v_fin)

@@ -6,7 +6,6 @@ import time
 
 from intervalmc import (
     KripkeStructure,
-    descriptor_of,
     enumerate_tracks,
     format_kripke,
     is_track,
@@ -40,6 +39,7 @@ from intervalmc.tracknfa import accepts_track, compile_positive, find_satisfying
 
 from _check_exists import check_exists
 from _class_view import ClassView
+from _descriptor_of import descriptor_of
 from _instances import (
     random_ab_formula,
     random_cnf,

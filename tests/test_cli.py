@@ -755,7 +755,7 @@ def test_stray_letter_named_inside_the_reason(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # command-line contract: `main` builds only the parser of the subcommand it
-# runs, and that changes no output and no exit code
+# runs, once per process, and that changes no output and no exit code
 
 
 def _outcome(capsys, argv):
@@ -767,9 +767,9 @@ def _outcome(capsys, argv):
     return code, re.sub(r'time_ms"?:? [0-9.]+', "time_ms", captured.out), captured.err
 
 
-def test_per_subcommand_parser_matches_the_full_parser(kequiv_path, capsys, monkeypatch):
+def _argv_table(kequiv_path):
     K = str(kequiv_path)
-    lines = [
+    return [
         ["--help"],
         [],
         ["chek"],
@@ -787,6 +787,10 @@ def test_per_subcommand_parser_matches_the_full_parser(kequiv_path, capsys, monk
         ["classify", "--formula", "p & !q"],
         ["descriptors", "--model", K, "--state", "v0", "--dir", "up"],
     ]
+
+
+def test_per_subcommand_parser_matches_the_full_parser(kequiv_path, capsys, monkeypatch):
+    lines = _argv_table(kequiv_path)
     full, asked = cli.build_parser, []
 
     def recording(command=None):
@@ -821,6 +825,34 @@ def test_check_builds_a_parser_with_only_check(kequiv_path, capsys, monkeypatch)
     (subcommands,) = (action for action in parser._actions if action.dest == "command")
     assert list(subcommands.choices) == ["check"]
     assert len(next(a for a in full()._actions if a.dest == "command").choices) == len(cli.COMMANDS)
+
+
+def test_each_parser_is_built_once_per_process():
+    for command in (*cli.COMMANDS, None):
+        assert cli.build_parser(command) is cli.build_parser(command)
+    assert cli.build_parser() is not cli.build_parser("check")
+
+
+def test_kept_parsers_give_the_same_outcomes_twice(kequiv_path, capsys):
+    lines = _argv_table(kequiv_path)
+    cli.build_parser.cache_clear()  # the first pass builds every parser, the second reuses them
+    first = [_outcome(capsys, argv) for argv in lines]
+    assert [_outcome(capsys, argv) for argv in lines] == first
+
+
+def test_usage_error_leaves_the_kept_parser_usable(kequiv_path, capsys):
+    argv = ["check", "--model", str(kequiv_path), "--formula", "[A] true", "--json"]
+    code, out, err = _outcome(capsys, [*argv, "--engine", "fast"])
+    assert code == 2 and out == "" and "invalid choice: 'fast'" in err
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"] == "holds"
+
+
+def test_help_reads_the_same_twice(capsys):
+    first = _outcome(capsys, ["--help"])
+    assert first[0] == 0 and first[1].startswith("usage: intervalmc")
+    assert _outcome(capsys, ["--help"]) == first
 
 
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):

@@ -5,7 +5,6 @@ import pytest
 from intervalmc import (
     DescriptorElement,
     KripkeStructure,
-    descriptor_of,
     is_track,
     witnessed_descriptors,
 )
@@ -35,6 +34,7 @@ from intervalmc.reductions import CnfFormula, build_sat_instance
 from intervalmc.tracknfa import accepts_track, compile_positive, find_satisfying_track
 
 from _check_exists import check_exists
+from _descriptor_of import descriptor_of
 from _instances import (
     random_beta,
     random_exists_formula,

@@ -29,6 +29,7 @@ from intervalmc.logic import (
     val,
 )
 
+from _descriptor_of import descriptor_of
 from _prop import eval_prop
 from _instances import (
     random_ab_formula,
@@ -244,8 +245,6 @@ def test_val_rejects_modal_formulas(kequiv):
 
 
 def test_val_matches_track_label_evaluation():
-    from intervalmc import descriptor_of
-
     rng = rng_for("valtrack")
     for _ in range(60):
         K = random_kripke(rng, letters=("p", "q", "r"))

@@ -7,7 +7,6 @@ from intervalmc import (
     DescriptorElement,
     KripkeStructure,
     concat_desc,
-    descriptor_of,
     enumerate_tracks,
     format_kripke,
     is_track,
@@ -19,6 +18,7 @@ from intervalmc import (
 from intervalmc.errors import NotWitnessed, ParseError, ValidationError
 from intervalmc.reductions import CnfFormula, QbfFormula, build_qbf_instance, build_sat_instance
 
+from _descriptor_of import descriptor_of
 from _instances import random_kripke, random_track, rng_for, shuffle_declaration, sparse_kripke
 from _structures import isomorphic, reach_from, restrict_labels
 

@@ -1,6 +1,6 @@
 import pytest
 
-from intervalmc import descriptor_of, enumerate_tracks
+from intervalmc import enumerate_tracks
 from intervalmc.errors import BoundTooSmall, NotInFragment, ValidationError
 from intervalmc.logic import (
     FALSE,
@@ -21,6 +21,7 @@ from intervalmc.oracle import TRACK, BoundedEvaluator, default_bound, eval_bound
 from intervalmc.reductions import CnfFormula, build_sat_instance
 from intervalmc.tracknfa import accepts_track, compile_positive, find_satisfying_track
 
+from _descriptor_of import descriptor_of
 from _instances import (
     HS_MODS,
     random_beta,
