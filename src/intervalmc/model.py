@@ -398,7 +398,7 @@ def parse_kripke(text: str) -> KripkeStructure:
 
 def format_kripke(K: KripkeStructure) -> str:
     """Serialize to the file format accepted by `parse_kripke`."""
-    lines = ["ap: " + " ".join(sorted(K.ap)), f"init: {K.init}"]
+    lines = [" ".join(["ap:", *sorted(K.ap)]), f"init: {K.init}"]
     for s in K.states:
         letters = " ".join(sorted(K.labels[s]))
         lines.append(f"state {s}:" + (f" {letters}" if letters else ""))

@@ -3,8 +3,11 @@
 Every quantifier ranges over tracks of length at most the bound, the bound
 applying uniformly to nested quantifiers as well. For existential-fragment
 formulas a bounded `true` is exact; for universal-fragment formulas a
-bounded `false` is exact. The evaluator favours being obviously correct
-over speed; `tracknfa` is the scalable counterpart for positive diamonds.
+bounded `false` is exact. The evaluator memoizes each node on the
+coarsest key its value depends on and settles the keys it has walked (see
+below), but a node that needs the whole track is still evaluated per
+track within the bound; `tracknfa` is the scalable counterpart for
+positive diamonds.
 
 It evaluates the nodes of one `logic.FormulaTable` over the state ids of `K`,
 in a check the table `check` built, and compiles the nodes below a root

@@ -115,6 +115,8 @@ def _tokenize_dimacs(text: str):
                 header = (int(parts[2]), int(parts[3]))
             except ValueError:
                 raise ParseError(f"malformed problem line {line!r}", line=lineno) from None
+            if min(header) < 0:
+                raise ParseError(f"malformed problem line {line!r}", line=lineno)
             continue
         if line[0] in "ea":
             quant_lines.append((lineno, line))

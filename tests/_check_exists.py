@@ -18,6 +18,7 @@ def check_exists(K: KripkeStructure, psi, d: DescriptorElement):
         raise NotInFragment("check_exists expects an ExistsAABE formula")
     engine = _ExistsEngine(K, psi)
     first, mask, last = _ids_of(K, d)
-    if (mask, last) not in engine.peels(first):
+    if (mask, last) not in engine.witnessed(first):
         raise NotWitnessed(f"descriptor element {d!r} is not witnessed")
-    return engine.check(engine.root, (first, mask, last))
+    wit = engine.check(engine.root, (first, mask, last))
+    return bool(wit), wit or None

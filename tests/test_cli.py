@@ -617,6 +617,19 @@ def test_gen_sat_malformed_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command, flag, header",
+    [("gen-sat", "--dimacs", "p cnf -3 0"), ("gen-sat", "--dimacs", "p cnf 2 -1"), ("gen-qbf", "--qdimacs", "p cnf -2 0")],
+)
+def test_generators_negative_counts_exit_two(tmp_path, capsys, command, flag, header):
+    source = tmp_path / "negative.in"
+    source.write_text(header + "\n")
+    argv = (command, flag, str(source), "--out-model", str(tmp_path / "m"), "--out-formula", str(tmp_path / "f"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: malformed problem line {header!r} (line 1)\n")
+    assert not (tmp_path / "m").exists() and not (tmp_path / "f").exists()
+
+
 def test_generators_unwritable_output_exit_two(tmp_path, capsys):
     sources = {
         "gen-sat": ("--dimacs", "p cnf 1 1\n1 0\n"),

@@ -28,7 +28,7 @@ from intervalmc.logic import (
     parse_formula,
     val,
 )
-from intervalmc.model import concat_desc, shortest_witness
+from intervalmc.model import _element, concat_desc, shortest_witness, track_label
 from intervalmc.oracle import default_bound
 from intervalmc.reductions import CnfFormula, build_sat_instance
 from intervalmc.tracknfa import accepts_track, compile_positive, find_satisfying_track
@@ -146,6 +146,31 @@ def test_check_exists_memo_transparency():
         v = rng.choice(K.states)
         for d in witnessed_descriptors(K, v, "forward"):
             assert check_exists(K, psi, d) == _reference_exists(K, psi, d)
+
+
+# ---------------------------------------------------------------------------
+# The engine's per-state index
+
+
+def test_witnessed_index_matches_model():
+    # One dict per state and direction: the elements of
+    # `witnessed_descriptors` in the same order, each under its interior
+    # mask and other endpoint, with the label intersection of its tracks.
+    rng = rng_for("witnessed-index")
+    elements = 0
+    for _ in range(40):
+        K = random_kripke(rng, max_states=4)
+        engine = _ExistsEngine(K, parse_formula("p"))
+        for v in K.states:
+            for forward, direction in ((True, "forward"), (False, "backward")):
+                index = engine.witnessed(K.ids[v], forward)
+                assert [_element(K, *d) for d in index.values()] == list(witnessed_descriptors(K, v, direction))
+                for (mask, other), d in index.items():
+                    assert d == ((K.ids[v], mask, other) if forward else (other, mask, K.ids[v]))
+                    common = track_label(K, shortest_witness(K, _element(K, *d)))
+                    assert engine._labels[d] == sum(K.letter_bit[p] for p in common)
+                    elements += 1
+    assert elements > 1500
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +656,14 @@ def _random_adjacent_formula(rng, depth=3):
 
 
 def _run_engine(K, psi):
-    return _run(_ExistsEngine(K, negate_to_exists(psi)), K.ids[K.init])
+    """The engine and its (result, counterexample) over the elements from
+    the initial state."""
+    engine = _ExistsEngine(K, negate_to_exists(psi))
+    for d in engine.witnessed(K.ids[K.init]).values():
+        wit = engine.check(engine.root, d)
+        if wit:
+            return engine, ("fails", wit)
+    return engine, ("holds", None)
 
 
 def test_adjacent_endpoint_memo_is_bypassed_without_memo():
@@ -650,7 +682,7 @@ def test_adjacent_endpoint_memo_is_bypassed_without_memo():
         # (node, endpoint) was answered by the endpoint memo.
         adjacent_checks = sum(
             1 for node, _ in with_memo._memo
-            if with_memo._nodes[node][0] in (Modality.A, Modality.ABAR)
+            if with_memo._table.nodes[node][0] in (Modality.A, Modality.ABAR)
         )
         hits += adjacent_checks - len(with_memo._adjacent)
     assert hits > 100

@@ -104,11 +104,14 @@ def test_parse_ignores_comments_and_blanks():
 
 
 def test_format_round_trip(kequiv):
-    assert parse_kripke(format_kripke(kequiv)) == kequiv
+    letterless = KripkeStructure(ap=(), states=("a", "b"), edges={("a", "b"), ("b", "b")}, labels={}, init="a")
+    structures = [kequiv, letterless, build_sat_instance(CnfFormula(0, ()))[0]]
     rng = rng_for("roundtrip")
-    for _ in range(25):
-        K = random_kripke(rng, max_states=5, letters=("p", "q", "r"))
-        assert parse_kripke(format_kripke(K)) == K
+    structures += [random_kripke(rng, max_states=5, letters=("p", "q", "r")) for _ in range(25)]
+    for K in structures:
+        text = format_kripke(K)
+        assert parse_kripke(text) == K
+        assert all(line == line.rstrip() for line in text.splitlines()), text
 
 
 def test_constructor_enforces_left_totality():

@@ -70,6 +70,15 @@ def test_parse_dimacs_errors():
         parse_dimacs("p cnf 1 1\ne 1 0\n1 0\n")
 
 
+@pytest.mark.parametrize("parse", [parse_dimacs, parse_qdimacs], ids=["dimacs", "qdimacs"])
+@pytest.mark.parametrize("header", ["p cnf -3 0", "p cnf 2 -1", "p cnf -2 -2"])
+def test_parse_rejects_negative_counts(parse, header):
+    with pytest.raises(ParseError) as err:
+        parse(f"c counts below zero\n{header}\n")
+    assert str(err.value) == f"malformed problem line {header!r} (line 2)"
+    assert err.value.line == 2
+
+
 def test_parse_qdimacs_prefix_order():
     qbf = parse_qdimacs("p cnf 3 1\na 3 0\ne 1 2 0\n-1 2 0\n")
     assert qbf.prefix == (("a", 3), ("e", 1), ("e", 2))
