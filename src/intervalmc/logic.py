@@ -3,9 +3,10 @@ desugaring, fragment classification, dualization, propositional
 evaluation over descriptor elements, and the compiler of propositional
 formulas into tests on letter bitmasks (`compile_prop`).
 
-Surface syntax (ASCII): letters `[a-zA-Z_][a-zA-Z0-9_]*`, constants
-`true`/`false`, connectives `!`, `&`, `|`, `->` (right-associative), and
-modalities `<A>`, `[A]`, ..., with `~` marking inverses (`<~B>`, `[~A]`).
+Surface syntax: letters (`_` or a Unicode letter, then `_`, letters and
+digits: `pé²` is one, and it reads false, as no structure declares it),
+constants `true`/`false`, connectives `!`, `&`, `|`, `->` (right-associative),
+and modalities `<A>`, `[A]`, ..., with `~` marking inverses (`<~B>`, `[~A]`).
 Precedence: unary operators bind tightest, then `&`, then `|`, then `->`.
 
 A check builds one `FormulaTable`, which sets each node's fragment flags

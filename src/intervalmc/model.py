@@ -31,20 +31,21 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 class KripkeStructure:
     """Finite state-transition system with a left-total edge relation.
 
-    Values are immutable after construction; the constructor enforces all
-    structure invariants (left-totality, declared states/propositions,
-    initial state membership).
+    Values are immutable after construction; the constructor enforces every
+    invariant: names are strings matching `_NAME_RE`, edges and labels use
+    declared states and letters, the initial state is declared, left-totality.
     """
 
     __slots__ = ("ap", "states", "edges", "labels", "init", "names", "ids", "letter_bit", "masks", "succ", "pred")
 
     def __init__(self, ap, states, edges, labels, init):
-        self.ap = frozenset(ap)
         self.states = tuple(states)
-        self.edges = frozenset((str(a), str(b)) for a, b in edges)
-        self.labels = {s: frozenset(labels.get(s, ())) for s in self.states}
         self.init = init
-        self._validate(labels)
+        ap, edges = tuple(ap), tuple(edges)
+        self._validate(ap, edges, labels)
+        self.ap = frozenset(ap)
+        self.edges = frozenset((a, b) for a, b in edges)
+        self.labels = {s: frozenset(labels.get(s, ())) for s in self.states}
         # States are numbered in sorted-name order and letters in sorted
         # order, so that comparing ids compares names.
         self.names = names = tuple(sorted(self.states))  # id -> state name
@@ -60,34 +61,38 @@ class KripkeStructure:
         self.succ = tuple(map(tuple, succ))
         self.pred = tuple(map(tuple, pred))
 
-    def _validate(self, labels):
+    def _validate(self, ap, edges, labels):
         if not self.states:
             raise ValidationError("UnknownState", message="structure has no states")
+        # Names come first, so that no later check hashes a name that is not a string.
+        for name in self.states:
+            if not (isinstance(name, str) and _NAME_RE.match(name)):
+                raise ValidationError("UnknownState", name, "invalid state name")
+        for p in ap:
+            if not (isinstance(p, str) and _NAME_RE.match(p)):
+                raise ValidationError("UnknownProposition", p, "invalid proposition name")
         known = set(self.states)
         if len(known) != len(self.states):
             first = next(s for i, s in enumerate(self.states) if s in self.states[:i])
             raise ValidationError("DuplicateState", first)
-        for name in self.states:
-            if not _NAME_RE.match(name):
-                raise ValidationError("UnknownState", name, "invalid state name")
         if self.init not in known:
             raise ValidationError("UnknownState", self.init, "initial state is not declared")
-        for a, b in self.edges:
+        for a, b in edges:
             if a not in known:
                 raise ValidationError("UnknownState", a, "edge source is not declared")
             if b not in known:
                 raise ValidationError("UnknownState", b, "edge target is not declared")
-        sources = {a for a, _ in self.edges}
+        sources = {a for a, _ in edges}
         for s in self.states:
             if s not in sources:
                 raise ValidationError("NotLeftTotal", s, "state has no outgoing edge")
         for s in labels:
             if s not in known:
                 raise ValidationError("UnknownState", s, "labelled state is not declared")
-        for s, letters in self.labels.items():
-            stray = letters - self.ap
+        for letters in labels.values():
+            stray = set(letters).difference(ap)
             if stray:
-                raise ValidationError("UnknownProposition", sorted(stray)[0])
+                raise ValidationError("UnknownProposition", min(stray, key=str))
 
     def successors(self, v: str) -> tuple[str, ...]:
         return tuple(map(self.names.__getitem__, self.succ[self.ids[v]]))
@@ -326,7 +331,8 @@ def parse_kripke(text: str) -> KripkeStructure:
 
     Sections appear in a fixed order: one `ap:` line, one `init:` line,
     the `state NAME:` lines, then the `edge: A B` lines. `#` starts a
-    comment and blank lines are ignored.
+    comment and blank lines are ignored. Only this layout is checked here,
+    with the line in each `ParseError`; `KripkeStructure` checks the names.
     """
     ap: list[str] = []
     init = None
@@ -334,7 +340,6 @@ def parse_kripke(text: str) -> KripkeStructure:
     labels: dict[str, list[str]] = {}
     edges: list[tuple[str, str]] = []
     section = "ap"
-    saw_ap = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -342,38 +347,28 @@ def parse_kripke(text: str) -> KripkeStructure:
             continue
 
         if line.startswith("ap:"):
-            if section != "ap" or saw_ap:
+            if section != "ap":
                 raise ParseError("misplaced ap: line", line=lineno)
-            saw_ap = True
-            for name in line[len("ap:"):].split():
-                if not _NAME_RE.match(name):
-                    raise ParseError(f"invalid proposition name {name!r}", line=lineno)
-                if name not in ap:
-                    ap.append(name)
+            ap = line[len("ap:"):].split()
             section = "init"
         elif line.startswith("init:"):
-            if not saw_ap or section not in ("init",):
+            if section != "init":
                 raise ParseError("misplaced init: line", line=lineno)
             parts = line[len("init:"):].split()
-            if len(parts) != 1 or not _NAME_RE.match(parts[0]):
+            if len(parts) != 1:
                 raise ParseError("init: expects exactly one state name", line=lineno)
             init = parts[0]
             section = "states"
         elif line.startswith("state "):
             if section == "init":
                 raise ValidationError("MissingInit", message="state section before any init: line")
-            if section not in ("states",):
+            if section != "states":
                 raise ParseError("misplaced state line", line=lineno)
             head, colon, rest = line[len("state "):].partition(":")
-            name = head.strip()
-            if not colon or not _NAME_RE.match(name):
+            if not colon:
                 raise ParseError(f"invalid state declaration {line!r}", line=lineno)
-            letters = rest.split()
-            for p in letters:
-                if not _NAME_RE.match(p):
-                    raise ParseError(f"invalid proposition name {p!r}", line=lineno)
-            states.append(name)
-            labels[name] = letters
+            states.append(head.strip())
+            labels[states[-1]] = rest.split()
         elif line.startswith("edge:"):
             if section == "states" and states:
                 section = "edges"
@@ -386,13 +381,10 @@ def parse_kripke(text: str) -> KripkeStructure:
         else:
             raise ParseError(f"unrecognized line {line!r}", line=lineno)
 
-    if not saw_ap:
+    if section == "ap":
         raise ParseError("missing ap: line", line=None)
     if init is None:
         raise ValidationError("MissingInit")
-    if not states:
-        raise ParseError("no state lines")
-    # The constructor rejects duplicate or unknown states and unknown propositions.
     return KripkeStructure(ap=ap, states=states, edges=edges, labels=labels, init=init)
 
 

@@ -95,6 +95,12 @@ def cnf_to_formula(cnf: CnfFormula) -> Formula:
 # DIMACS / QDIMACS parsing
 
 
+def _plain(line):
+    """Whether `line` is ASCII without `_` and `+`. On such a line `int()`
+    reads exactly DIMACS numbers: decimal digits with an optional `-`."""
+    return line.isascii() and "_" not in line and "+" not in line
+
+
 def _tokenize_dimacs(text: str):
     header = None
     quant_lines = []
@@ -109,7 +115,7 @@ def _tokenize_dimacs(text: str):
             if header is not None:
                 raise ParseError("duplicate problem line", line=lineno)
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(parts) != 4 or parts[1] != "cnf" or not _plain(line):
                 raise ParseError(f"malformed problem line {line!r}", line=lineno)
             try:
                 header = (int(parts[2]), int(parts[3]))
@@ -119,11 +125,15 @@ def _tokenize_dimacs(text: str):
                 raise ParseError(f"malformed problem line {line!r}", line=lineno)
             continue
         if line[0] in "ea":
+            if header is None or numbers:
+                raise ParseError("quantifier line not between the problem line and the clauses", line=lineno)
             quant_lines.append((lineno, line))
             continue
         if header is None:
             raise ParseError("clause before problem line", line=lineno)
         try:
+            if not _plain(line):
+                raise ValueError
             numbers.extend((lineno, int(tok)) for tok in line.split())
         except ValueError:
             raise ParseError(f"malformed clause line {line!r}", line=lineno) from None
@@ -159,11 +169,10 @@ def parse_qdimacs(text: str) -> QbfFormula:
     (num_vars, _), quant_lines, numbers = _tokenize_dimacs(text)
     clauses = _group_clauses(numbers, num_vars)
     prefix = []
-    bound = set()
     for lineno, line in quant_lines:
         parts = line.split()
         kind = parts[0]
-        if kind not in ("e", "a"):
+        if kind not in ("e", "a") or not _plain(line):
             raise ParseError(f"malformed quantifier line {line!r}", line=lineno)
         try:
             values = [int(tok) for tok in parts[1:]]
@@ -174,16 +183,13 @@ def parse_qdimacs(text: str) -> QbfFormula:
         for v in values[:-1]:
             if v <= 0 or v > num_vars:
                 raise OutOfRangeLiteral(f"variable {v} out of range", line=lineno)
-            if v in bound:
-                raise NonPrenex(f"variable {v} quantified twice")
-            bound.add(v)
             prefix.append((kind, v))
     used = {abs(lit) for clause in clauses for lit in clause}
-    free = sorted(used - bound)
-    if free:
+    free = sorted(used.difference(v for _, v in prefix))
+    qbf = QbfFormula(tuple([("e", v) for v in free] + prefix), CnfFormula(num_vars, clauses))
+    if free:  # only once QbfFormula has accepted the prefix
         warnings.warn(f"free variables {free} treated as outermost existentials", stacklevel=2)
-        prefix = [("e", v) for v in free] + prefix
-    return QbfFormula(tuple(prefix), CnfFormula(num_vars, clauses))
+    return qbf
 
 
 # ---------------------------------------------------------------------------

@@ -630,6 +630,15 @@ def test_generators_negative_counts_exit_two(tmp_path, capsys, command, flag, he
     assert not (tmp_path / "m").exists() and not (tmp_path / "f").exists()
 
 
+def test_gen_sat_lax_number_exit_two(tmp_path, capsys):
+    source = tmp_path / "lax.cnf"
+    source.write_text("p cnf 3 1\n+1 -2 0\n")
+    argv = ("gen-sat", "--dimacs", str(source), "--out-model", str(tmp_path / "m"), "--out-formula", str(tmp_path / "f"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: malformed clause line '+1 -2 0' (line 2)\n")
+    assert not (tmp_path / "m").exists() and not (tmp_path / "f").exists()
+
+
 def test_generators_unwritable_output_exit_two(tmp_path, capsys):
     sources = {
         "gen-sat": ("--dimacs", "p cnf 1 1\n1 0\n"),

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from intervalmc import (
     DescriptorElement,
@@ -97,6 +97,50 @@ def test_parse_out_of_order_sections():
         parse_kripke(text)
 
 
+# Each rule of the file layout, which `parse_kripke` checks itself:
+# (text, error class, message, line).
+LAYOUT_ERRORS = [
+    ("ap: p\nap: q\ninit: w\n", ParseError, "misplaced ap: line (line 2)", 2),
+    ("ap: p\ninit: w\nap: q\n", ParseError, "misplaced ap: line (line 3)", 3),
+    ("init: w\nap: p\n", ParseError, "misplaced init: line (line 1)", 1),
+    ("ap: p\ninit: w\ninit: w\n", ParseError, "misplaced init: line (line 3)", 3),
+    ("ap: p\ninit: w v\n", ParseError, "init: expects exactly one state name (line 2)", 2),
+    ("ap: p\ninit:\n", ParseError, "init: expects exactly one state name (line 2)", 2),
+    ("ap: p\nstate w: p\n", ValidationError, "state section before any init: line", None),
+    ("ap: p\ninit: w\nstate w: p\nedge: w w\nstate v:\n", ParseError, "misplaced state line (line 5)", 5),
+    ("ap: p\ninit: w\nstate w p\n", ParseError, "invalid state declaration 'state w p' (line 3)", 3),
+    ("ap: p\ninit: w\nedge: w w\n", ParseError, "misplaced edge line (line 3)", 3),
+    ("ap: p\ninit: w\nstate w: p\nedge: w\n", ParseError, "edge: expects exactly two state names (line 4)", 4),
+    ("# no sections\n", ParseError, "missing ap: line", None),
+]
+
+
+@pytest.mark.parametrize("text, error, message, line", LAYOUT_ERRORS)
+def test_parse_rejects_each_layout_error_with_its_line(text, error, message, line):
+    with pytest.raises(error) as err:
+        parse_kripke(text)
+    assert type(err.value) is error
+    assert str(err.value) == message
+    assert getattr(err.value, "line", None) == line
+
+
+@pytest.mark.parametrize(
+    "text, reason, subject, message",
+    [
+        ("ap: 1p\ninit: w\nstate w:\nedge: w w\n", "UnknownProposition", "1p", "invalid proposition name: 1p"),
+        ("ap: p\ninit: 1w\nstate w: p\nedge: w w\n", "UnknownState", "1w", "initial state is not declared: 1w"),
+        ("ap: p\ninit: w\nstate 1w: p\nedge: 1w 1w\n", "UnknownState", "1w", "invalid state name: 1w"),
+        ("ap: p\ninit: w\nstate w: p-q\nedge: w w\n", "UnknownProposition", "p-q", "UnknownProposition: p-q"),
+        ("ap: p\ninit: w\n", "UnknownState", None, "structure has no states"),
+    ],
+)
+def test_parse_leaves_names_to_the_structure(text, reason, subject, message):
+    # Names are the structure's rule: the error names the state or letter.
+    with pytest.raises(ValidationError) as err:
+        parse_kripke(text)
+    assert (err.value.reason, err.value.subject, str(err.value)) == (reason, subject, message)
+
+
 def test_parse_ignores_comments_and_blanks():
     text = "# header\nap: p\n\ninit: v0  # trailing\nstate v0: p\nedge: v0 v0\n"
     K = parse_kripke(text)
@@ -138,6 +182,50 @@ def test_constructor_rejects_label_of_undeclared_state():
             ap=("p",), states=("a",), edges={("a", "a")}, labels={"a": ("p",), "zz": ("p",)}, init="a"
         )
     assert (err.value.reason, err.value.subject) == ("UnknownState", "zz")
+
+
+_VALID_NAME = st.builds(
+    str.__add__, st.sampled_from("abpqzAZ_"), st.text(alphabet="abpqzAZ_09", max_size=2)
+)  # [A-Za-z_][A-Za-z0-9_]*
+# Arbitrary text, and values that are not strings, hashable or not.
+_ANY_NAME = st.one_of(
+    st.text(max_size=3), st.integers(), st.none(), st.binary(max_size=2), st.lists(st.sampled_from("ab"), max_size=1)
+)
+
+
+@st.composite
+def named_structures(draw):
+    """Constructor arguments on valid names, with at most one state or
+    letter replaced by an arbitrary name; every state has a self-loop, and
+    each string state a subset of the letters."""
+    states = draw(st.lists(_VALID_NAME, min_size=1, max_size=4, unique=True))
+    ap = draw(st.lists(_VALID_NAME, max_size=3))
+    odd = draw(st.sampled_from(("none", "state", "letter")))
+    if odd == "state":
+        states[draw(st.integers(0, len(states) - 1))] = draw(_ANY_NAME)
+    elif odd == "letter":
+        ap.append(draw(_ANY_NAME))
+    labels = {s: draw(st.lists(st.sampled_from(ap), max_size=2)) if ap else [] for s in states if isinstance(s, str)}
+    init = draw(st.sampled_from(states))
+    return dict(ap=ap, states=states, edges=[(s, s) for s in states], labels=labels, init=init)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=100)
+@given(named_structures())
+@example(dict(ap=["p q"], states=["a"], edges=[("a", "a")], labels={"a": ["p q"]}, init="a"))
+@example(dict(ap=["1p"], states=["a"], edges=[("a", "a")], labels={}, init="a"))
+@example(dict(ap=[1], states=["a"], edges=[("a", "a")], labels={}, init="a"))
+@example(dict(ap=[], states=[1], edges=[(1, 1)], labels={}, init=1))
+def test_constructor_checks_every_name(args):
+    # Either a ValidationError, never a TypeError, or a structure that its
+    # file gives back equal and in the same declaration order.
+    try:
+        K = KripkeStructure(**args)
+    except ValidationError as err:
+        assert err.reason in ("UnknownState", "UnknownProposition", "DuplicateState")
+        return
+    again = parse_kripke(format_kripke(K))
+    assert again == K and again.states == K.states
 
 
 def test_structure_numbers_its_states_in_sorted_name_order():

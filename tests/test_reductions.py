@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from intervalmc import is_track, parse_kripke, format_kripke
@@ -79,6 +81,48 @@ def test_parse_rejects_negative_counts(parse, header):
     assert err.value.line == 2
 
 
+# DIMACS numbers are ASCII decimal digits with an optional leading `-`;
+# int() alone also reads `_`, a `+` sign and non-ASCII digits.
+LAX_NUMBERS = [
+    ("p cnf 1_0 1\n+1 -1_0 0\n", "malformed problem line 'p cnf 1_0 1' (line 1)"),
+    ("p cnf \uff13 1\n1 0\n", "malformed problem line 'p cnf \uff13 1' (line 1)"),
+    ("p cnf +3 1\n1 0\n", "malformed problem line 'p cnf +3 1' (line 1)"),
+    ("p cnf 10 1\n+1 0\n", "malformed clause line '+1 0' (line 2)"),
+    ("p cnf 10 1\n1 -1_0 0\n", "malformed clause line '1 -1_0 0' (line 2)"),
+    ("p cnf 10 1\n1 \u0661 0\n", "malformed clause line '1 \u0661 0' (line 2)"),
+]
+
+
+@pytest.mark.parametrize("parse", [parse_dimacs, parse_qdimacs], ids=["dimacs", "qdimacs"])
+@pytest.mark.parametrize("text, message", LAX_NUMBERS)
+def test_parse_rejects_lax_numbers(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+def test_parse_dimacs_comment_lines_hold_any_text():
+    assert parse_dimacs("c +1_0 \u00e9\np cnf 1 1\n-1 0\n").clauses == ((-1,),)
+
+
+@pytest.mark.parametrize("line", ["e +1 0", "a 1_0 0", "e \uff11 0"])
+def test_parse_qdimacs_rejects_lax_quantifier_numbers(line):
+    with pytest.raises(ParseError) as err:
+        parse_qdimacs(f"p cnf 10 1\n{line}\n1 0\n")
+    assert str(err.value) == f"malformed quantifier line {line!r} (line 2)"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("e 1 0\np cnf 1 1\n1 0\n", 1), ("p cnf 2 1\n1 2 0\ne 1 2 0\n", 3), ("p cnf 2 2\ne 1 0\n1 0\na 2 0\n2 0\n", 4)],
+    ids=["before-problem-line", "after-a-clause", "between-clauses"],
+)
+def test_parse_qdimacs_rejects_quantifier_line_outside_the_prefix(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_qdimacs(text)
+    assert str(err.value) == f"quantifier line not between the problem line and the clauses (line {line})"
+
+
 def test_parse_qdimacs_prefix_order():
     qbf = parse_qdimacs("p cnf 3 1\na 3 0\ne 1 2 0\n-1 2 0\n")
     assert qbf.prefix == (("a", 3), ("e", 1), ("e", 2))
@@ -92,8 +136,13 @@ def test_parse_qdimacs_free_variables_warn():
 
 
 def test_parse_qdimacs_duplicate_quantifier():
-    with pytest.raises(NonPrenex):
+    with pytest.raises(NonPrenex, match="^variable 1 quantified twice$"):
         parse_qdimacs("p cnf 1 1\ne 1 0\na 1 0\n1 0\n")
+    # With a free variable too: the error, and no warning before it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonPrenex, match="^variable 1 quantified twice$"):
+            parse_qdimacs("p cnf 2 1\ne 1 0\na 1 0\n1 2 0\n")
 
 
 # ---------------------------------------------------------------------------
