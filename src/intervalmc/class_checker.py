@@ -6,8 +6,9 @@ extensions depends on a track only through the letters of the formula
 that hold on it and its last state, so each equivalence class can be
 evaluated once. Classes are generated from the length-2 seed tracks and
 closed under single-state extension. A class is a dense int id, keyed by
-mask * |W| + last state id, with the mask over the formula's letters and
-state ids from `KripkeStructure.ids`; only `_build_classes` and
+mask * |W| + last state id, with the structure's label mask (`masks`) cut
+to the `letter_bit`s of the formula's letters, so that a letter it does
+not declare holds on no class; only `_build_classes` and
 `find_initial_track` build or decode that key. A root in a `FormulaTable`
 and each node below it get an int bitset over ids as their truth set.
 
@@ -56,18 +57,18 @@ class ClassEngine:
         if not table.modalities(root) <= _AB_MODS:
             raise NotInFragment("class engine expects a formula over <A> and <~B> only")
         self._below = table.below(root)
-        self.pl = frozenset(table.nodes[i][1] for i in self._below if table.nodes[i][0] is Prop)
-        self._letters = sorted(self.pl)
         self._build_classes()
         self._truth = self._evaluate()
 
     def _build_classes(self):
-        K, n = self.K, len(self.K.states)
-        bit = {p: 1 << i for i, p in enumerate(self._letters)}
-        label = [sum(bit[p] for p in K.labels[s] & self.pl) for s in K.names]
+        K, n, nodes = self.K, len(self.K.states), self._table.nodes
+        # The bits of the formula's letters in `K.letter_bit`; the table holds
+        # each letter once, and one that `K` does not declare has no bit.
+        own = sum(K.letter_bit.get(nodes[i][1], 0) for i in self._below if nodes[i][0] is Prop)
+        label = [m & own for m in K.masks]
         ids, keys, rows, by_last = {}, [], [], [[] for _ in range(n)]
         # `masks` holds each class's letter mask in `width` bytes.
-        width, masks = len(self._letters) + 7 >> 3, bytearray()
+        width, masks = own.bit_length() + 7 >> 3, bytearray()
         # State v stands first as the key `label[v] * n + v`, whose row is
         # v's seed row; then come the classes, as `keys` grows while it is
         # walked. Ids are handed out in discovery order, so id order is
@@ -97,12 +98,7 @@ class ClassEngine:
         # Seeds are interned first, so their ids and these bitsets are small.
         self._seed_bits = [sum(1 << c for c in row) for row in seeds]
         self._by_last = [self._bitset(group) for group in by_last]
-        # Byte plane i >> 3 of `masks` holds bit i of every class's mask;
-        # one translate turns it into the "0"/"1" flags of letter i.
-        self._prop = {
-            p: int(masks[i >> 3 :: width].translate(_FLAG_OF_BIT[i & 7])[::-1], 2)
-            for i, p in enumerate(self._letters)
-        }
+        self._masks, self._width = masks, width
 
     def _bitset(self, ids) -> int:
         """Bitset of `ids`, built as ASCII "0"/"1" flags (48/49) read in base 2."""
@@ -127,7 +123,10 @@ class ClassEngine:
         for i in self._below:
             kind, a, b = self._table.nodes[i]
             if kind is Prop:
-                sat = self._prop[a]
+                # Byte plane j >> 3 of `_masks` holds bit j of every class's mask, and
+                # one translate turns it into "0"/"1" flags; j is -1 for a letter `K` lacks.
+                j = self.K.letter_bit.get(a, 0).bit_length() - 1
+                sat = int(self._masks[j >> 3 :: self._width].translate(_FLAG_OF_BIT[j & 7])[::-1], 2) if j >= 0 else 0
             elif kind is Const:
                 sat = full if a else 0
             elif kind is Not:

@@ -524,7 +524,7 @@ def val(beta: Formula, d: DescriptorElement, K: KripkeStructure) -> bool:
     """
     mask = -1
     for s in (d.v_in, d.v_fin, *d.interior):
-        mask &= K.masks[K.ids[s]]
+        mask &= K.masks[K.id_of(s)]
     return compile_prop(beta, K.letter_bit)(mask)
 
 

@@ -8,6 +8,8 @@ strictly in between, and its last state.
 A `KripkeStructure` numbers its states when it is built, in sorted-name
 order, so that id order is name order, and keeps the label masks and the
 successor and predecessor id lists by id; every engine runs on these ids.
+Every function that takes a state name looks it up with
+`KripkeStructure.id_of`, the one place that refuses what is not a state.
 The descriptor fixpoint `_pairs` runs over (endpoint id, interior mask)
 pairs. `witnessed_descriptors`, `witness_lengths` and `shortest_witness`
 convert its result to and from state names; the descriptor engine uses it
@@ -26,6 +28,14 @@ from .record import Record
 Track = tuple[str, ...]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
+def _strays(names, known: set) -> list:
+    """The members of `names` that are not strings in `known`, in order; only
+    strings are hashed, and when all are known the check runs in C."""
+    if all(map(str.__instancecheck__, names)) and known.issuperset(names):
+        return []
+    return [s for s in names if not (isinstance(s, str) and s in known)]
 
 
 class KripkeStructure:
@@ -75,30 +85,33 @@ class KripkeStructure:
         if len(known) != len(self.states):
             first = next(s for i, s in enumerate(self.states) if s in self.states[:i])
             raise ValidationError("DuplicateState", first)
-        if self.init not in known:
-            raise ValidationError("UnknownState", self.init, "initial state is not declared")
-        for a, b in edges:
-            if a not in known:
-                raise ValidationError("UnknownState", a, "edge source is not declared")
-            if b not in known:
-                raise ValidationError("UnknownState", b, "edge target is not declared")
-        sources = {a for a, _ in edges}
+        sources, targets = [a for a, _ in edges], [b for _, b in edges]
+        for what, names in (
+            ("initial state", (self.init,)), ("edge source", sources), ("edge target", targets), ("labelled state", labels)
+        ):
+            stray = _strays(names, known)
+            if stray:
+                raise ValidationError("UnknownState", stray[0], f"{what} is not declared")
+        stray = _strays([p for letters in labels.values() for p in letters], set(ap))
+        if stray:
+            raise ValidationError("UnknownProposition", stray[0])
+        sources = set(sources)
         for s in self.states:
             if s not in sources:
                 raise ValidationError("NotLeftTotal", s, "state has no outgoing edge")
-        for s in labels:
-            if s not in known:
-                raise ValidationError("UnknownState", s, "labelled state is not declared")
-        for letters in labels.values():
-            stray = set(letters).difference(ap)
-            if stray:
-                raise ValidationError("UnknownProposition", min(stray, key=str))
+
+    def id_of(self, name) -> int:
+        """The id of the state `name`; ValidationError("UnknownState", name)
+        for anything else, a string or not, hashable or not."""
+        if isinstance(name, str) and name in self.ids:
+            return self.ids[name]
+        raise ValidationError("UnknownState", name)
 
     def successors(self, v: str) -> tuple[str, ...]:
-        return tuple(map(self.names.__getitem__, self.succ[self.ids[v]]))
+        return tuple(map(self.names.__getitem__, self.succ[self.id_of(v)]))
 
     def predecessors(self, v: str) -> tuple[str, ...]:
-        return tuple(map(self.names.__getitem__, self.pred[self.ids[v]]))
+        return tuple(map(self.names.__getitem__, self.pred[self.id_of(v)]))
 
     def __eq__(self, other):
         if not isinstance(other, KripkeStructure):
@@ -159,24 +172,21 @@ def check_track(K: KripkeStructure, seq: Iterable[str]) -> Track:
     is not an edge.
     """
     t = tuple(seq)
-    for s in t:
-        if s not in K.labels:
-            raise ValidationError("UnknownState", s)
+    ids = list(map(K.id_of, t))
     if len(t) < 2:
         raise ValidationError("NotATrack", message=f"a track has at least 2 states, not {len(t)}")
-    for a, b in zip(t, t[1:]):
-        if (a, b) not in K.edges:
-            raise ValidationError("NotATrack", message=f"no edge {a} -> {b}")
+    for i in range(len(t) - 1):
+        if ids[i + 1] not in K.succ[ids[i]]:
+            raise ValidationError("NotATrack", message=f"no edge {t[i]} -> {t[i + 1]}")
     return t
 
 
 def track_label(K: KripkeStructure, rho: Iterable[str]) -> frozenset:
     """Intersection of the labels of all states occurring on the track."""
-    rho = tuple(rho)
-    letters = K.labels[rho[0]]
-    for s in rho[1:]:
-        letters = letters & K.labels[s]
-    return letters
+    mask = -1
+    for s in rho:
+        mask &= K.masks[K.id_of(s)]
+    return frozenset(p for p, bit in K.letter_bit.items() if mask & bit)
 
 
 def concat_desc(d1: DescriptorElement, d2: DescriptorElement) -> DescriptorElement:
@@ -226,11 +236,8 @@ def _pair_order(pair):
 def _ids_of(K: KripkeStructure, d: DescriptorElement) -> tuple:
     """d as (first id, interior mask, last id); UnknownState for a state
     that `K` does not declare."""
-    ids = K.ids
-    for s in (d.v_in, d.v_fin, *d.interior):
-        if s not in ids:
-            raise ValidationError("UnknownState", s)
-    return ids[d.v_in], sum(1 << ids[s] for s in d.interior), ids[d.v_fin]
+    first, last = K.id_of(d.v_in), K.id_of(d.v_fin)
+    return first, sum(1 << K.id_of(s) for s in d.interior), last
 
 
 def _element(K: KripkeStructure, first: int, mask: int, last: int) -> DescriptorElement:
@@ -254,12 +261,10 @@ def witness_lengths(K: KripkeStructure, v: str, direction: str = "forward"):
     """`witnessed_descriptors(K, v, direction)`, each element paired with
     the length of its shortest tracks: 2 plus the depth at which the
     breadth-first fixpoint first reaches its pair, in either direction."""
-    if v not in K.labels:
-        raise ValidationError("UnknownState", v)
+    first = K.id_of(v)
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
     forward = direction == "forward"
-    first = K.ids[v]
     parents, length = _pairs(K, first, forward), {}
     for pair, parent in parents.items():  # in discovery order: a parent comes first
         length[pair] = 2 if parent is None else length[parent] + 1
@@ -319,9 +324,7 @@ def enumerate_tracks(
     """
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
-    if start is not None and start not in K.labels:
-        raise ValidationError("UnknownState", start)
-    starts = [(K.ids[start],)] if start is not None else [(i,) for i in range(len(K.names))]
+    starts = [(K.id_of(start),)] if start is not None else [(i,) for i in range(len(K.names))]
     for t in extend_tracks(K, starts, max_len):
         yield tuple(K.names[i] for i in t)
 
@@ -365,10 +368,11 @@ def parse_kripke(text: str) -> KripkeStructure:
             if section != "states":
                 raise ParseError("misplaced state line", line=lineno)
             head, colon, rest = line[len("state "):].partition(":")
-            if not colon:
+            name = head.strip()
+            if not (colon and name):
                 raise ParseError(f"invalid state declaration {line!r}", line=lineno)
-            states.append(head.strip())
-            labels[states[-1]] = rest.split()
+            states.append(name)
+            labels[name] = rest.split()
         elif line.startswith("edge:"):
             if section == "states" and states:
                 section = "edges"

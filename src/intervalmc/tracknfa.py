@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import BoundTooSmall, NotInFragment, ValidationError
+from .errors import BoundTooSmall, NotInFragment
 from .logic import And, FormulaTable, Modality, Or, compile_prop, prop_letters
 from .model import KripkeStructure, Track, check_track
 
@@ -344,20 +344,16 @@ def find_satisfying_track(
     formula under the bounded semantics, optionally constrained to a fixed
     first state, last state, and exact interior state set. None when no
     such track exists."""
-    if interior is not None:
-        interior = frozenset(interior)
-    ids = K.ids
-    for s in (first, last, *(interior or ())):
-        if s is not None and s not in ids:
-            raise ValidationError("UnknownState", s)
+    starts = (K.id_of(first),) if first is not None else range(len(K.names))
+    end = K.id_of(last) if last is not None else None
+    within = None if interior is None else sum(1 << i for i in {*map(K.id_of, interior)})
     auto = compile_positive(K, phi, bound)
-    if interior is not None:
-        auto = _InteriorAuto(auto, sum(1 << ids[s] for s in interior))
-    starts = (ids[first],) if first is not None else range(len(ids))
+    if within is not None:
+        auto = _InteriorAuto(auto, within)
 
     parents: dict = {}
     for w, m, t in _accepting(K.succ, auto, starts, bound, parents):
-        if last is None or w == ids[last]:
+        if end is None or w == end:
             pair, states = (w, m), [w]
             for _ in range(t - 1):  # a start pair reached again has a parent too
                 pair = parents[pair]

@@ -2,7 +2,7 @@ from itertools import chain
 
 import pytest
 
-from intervalmc import KripkeStructure, enumerate_tracks, is_track, track_label
+from intervalmc import KripkeStructure, check, enumerate_tracks, is_track, track_label
 from intervalmc.class_checker import ClassEngine, check_ab
 from intervalmc.errors import NotInFragment
 from intervalmc.logic import (
@@ -145,6 +145,27 @@ def test_full_fragment_agrees_with_naive_bounded_oracle():
         for rho in enumerate_tracks(K, track_cap, start=K.init):
             assert view.holds(psi, view.of_track(rho)) == ev.eval(rho, psi)
     assert checked >= 25
+
+
+@pytest.mark.parametrize("text", ["[A] zz", "[A] !zz", "<~B> zz | r0"])
+def test_letter_the_structure_does_not_declare_reads_false(scheduler, text):
+    # `zz` is no letter of scheduler.kripke, so it has no bit and holds on
+    # no class. It holds on no track of any length either, so these
+    # formulas do not depend on the bound, and the bounded oracle's truth
+    # on tracks shorter than its bound is exact.
+    from intervalmc.oracle import BoundedEvaluator
+
+    psi = desugar(parse_formula(text))
+    view = ClassView(ClassEngine(scheduler, psi))
+    ev = BoundedEvaluator(scheduler, 4)
+    for rho in enumerate_tracks(scheduler, 3):
+        assert not view.holds(Prop("zz"), view.of_track(rho))
+        assert view.holds(psi, view.of_track(rho)) == ev.eval(rho, psi), rho
+    verdict = check(scheduler, psi, "class")
+    if classify(psi).forall_aabe:
+        assert check(scheduler, psi, "descriptor").result == verdict.result
+        # The oracle's refutation of a ForallAABE formula is exact.
+        assert (check(scheduler, psi, "oracle", 4).result == "fails") == (verdict.result == "fails")
 
 
 def test_positive_fragment_agrees_with_bounded_automaton():
@@ -415,7 +436,7 @@ def test_single_search_agrees_with_two_step_reference():
     for K, psi in pairs:
         verdict = check_ab(K, psi)
         view = ClassView(ClassEngine(K, psi))
-        ref = _TwoStepSearch(K, view.engine.pl)
+        ref = _TwoStepSearch(K, view.pl)
         sat = view.engine._truth[view.engine._root]
         result = ref.check(lambda c: bool(sat >> view.id[c] & 1))
         assert (verdict.result, verdict.counterexample) == result

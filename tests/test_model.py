@@ -10,13 +10,18 @@ from intervalmc import (
     enumerate_tracks,
     format_kripke,
     is_track,
+    parse_formula,
     parse_kripke,
     shortest_witness,
     track_label,
+    val,
     witnessed_descriptors,
 )
 from intervalmc.errors import NotWitnessed, ParseError, ValidationError
+from intervalmc.model import check_track, witness_lengths
+from intervalmc.oracle import eval_bounded
 from intervalmc.reductions import CnfFormula, QbfFormula, build_qbf_instance, build_sat_instance
+from intervalmc.tracknfa import accepts_track, compile_positive, find_satisfying_track
 
 from _descriptor_of import descriptor_of
 from _instances import random_kripke, random_track, rng_for, shuffle_declaration, sparse_kripke
@@ -109,6 +114,7 @@ LAYOUT_ERRORS = [
     ("ap: p\nstate w: p\n", ValidationError, "state section before any init: line", None),
     ("ap: p\ninit: w\nstate w: p\nedge: w w\nstate v:\n", ParseError, "misplaced state line (line 5)", 5),
     ("ap: p\ninit: w\nstate w p\n", ParseError, "invalid state declaration 'state w p' (line 3)", 3),
+    ("ap: p\ninit: w\nstate w: p\nstate : p\n", ParseError, "invalid state declaration 'state : p' (line 4)", 4),
     ("ap: p\ninit: w\nedge: w w\n", ParseError, "misplaced edge line (line 3)", 3),
     ("ap: p\ninit: w\nstate w: p\nedge: w\n", ParseError, "edge: expects exactly two state names (line 4)", 4),
     ("# no sections\n", ParseError, "missing ap: line", None),
@@ -188,34 +194,48 @@ _VALID_NAME = st.builds(
     str.__add__, st.sampled_from("abpqzAZ_"), st.text(alphabet="abpqzAZ_09", max_size=2)
 )  # [A-Za-z_][A-Za-z0-9_]*
 # Arbitrary text, and values that are not strings, hashable or not.
-_ANY_NAME = st.one_of(
-    st.text(max_size=3), st.integers(), st.none(), st.binary(max_size=2), st.lists(st.sampled_from("ab"), max_size=1)
-)
+_HASHABLE_NAME = st.one_of(st.text(max_size=3), st.integers(), st.none(), st.binary(max_size=2))
+_ANY_NAME = st.one_of(_HASHABLE_NAME, st.lists(st.sampled_from("ab"), max_size=1))
 
 
 @st.composite
 def named_structures(draw):
-    """Constructor arguments on valid names, with at most one state or
-    letter replaced by an arbitrary name; every state has a self-loop, and
-    each string state a subset of the letters."""
+    """Constructor arguments on valid names, with at most one name replaced
+    by an arbitrary one: a declared state or letter, the initial state, an
+    edge endpoint, a label key (hashable, as a dict key is) or a label
+    letter. Every state has a self-loop, and each string state a subset of
+    the letters."""
     states = draw(st.lists(_VALID_NAME, min_size=1, max_size=4, unique=True))
     ap = draw(st.lists(_VALID_NAME, max_size=3))
-    odd = draw(st.sampled_from(("none", "state", "letter")))
+    odd = draw(st.sampled_from(("none", "state", "letter", "init", "source", "target", "label key", "label letter")))
     if odd == "state":
         states[draw(st.integers(0, len(states) - 1))] = draw(_ANY_NAME)
     elif odd == "letter":
         ap.append(draw(_ANY_NAME))
     labels = {s: draw(st.lists(st.sampled_from(ap), max_size=2)) if ap else [] for s in states if isinstance(s, str)}
     init = draw(st.sampled_from(states))
-    return dict(ap=ap, states=states, edges=[(s, s) for s in states], labels=labels, init=init)
+    edges = [(s, s) for s in states]
+    if odd == "init":
+        init = draw(_ANY_NAME)
+    elif odd in ("source", "target"):
+        edge = [draw(st.sampled_from(states)), draw(_ANY_NAME)]
+        edges.append(tuple(edge if odd == "target" else edge[::-1]))
+    elif odd == "label key":
+        labels[draw(_HASHABLE_NAME)] = []
+    elif odd == "label letter":
+        labels[states[0]].append(draw(_ANY_NAME))
+    return dict(ap=ap, states=states, edges=edges, labels=labels, init=init)
 
 
-@settings(database=None, derandomize=True, deadline=None, max_examples=100)
+@settings(database=None, derandomize=True, deadline=None, max_examples=200)
 @given(named_structures())
 @example(dict(ap=["p q"], states=["a"], edges=[("a", "a")], labels={"a": ["p q"]}, init="a"))
 @example(dict(ap=["1p"], states=["a"], edges=[("a", "a")], labels={}, init="a"))
 @example(dict(ap=[1], states=["a"], edges=[("a", "a")], labels={}, init="a"))
 @example(dict(ap=[], states=[1], edges=[(1, 1)], labels={}, init=1))
+@example(dict(ap=["p"], states=["a"], edges=[(["a"], "a")], labels={}, init="a"))
+@example(dict(ap=["p"], states=["a"], edges=[("a", "a")], labels={"a": [["p"]]}, init="a"))
+@example(dict(ap=["p"], states=["a"], edges=[("a", "a")], labels={}, init=["a"]))
 def test_constructor_checks_every_name(args):
     # Either a ValidationError, never a TypeError, or a structure that its
     # file gives back equal and in the same declaration order.
@@ -226,6 +246,39 @@ def test_constructor_checks_every_name(args):
         return
     again = parse_kripke(format_kripke(K))
     assert again == K and again.states == K.states
+
+
+# Every entry point that takes a state name, called with `name` in a state's place.
+_NAME_ENTRY_POINTS = {
+    "id_of": lambda K, name: K.id_of(name),
+    "successors": lambda K, name: K.successors(name),
+    "predecessors": lambda K, name: K.predecessors(name),
+    "check_track": lambda K, name: check_track(K, ["v0", name]),
+    "eval_bounded": lambda K, name: eval_bounded(K, ["v0", name], parse_formula("p"), 3),
+    "accepts_track": lambda K, name: accepts_track(compile_positive(K, parse_formula("p"), 3), ["v0", name], 3),
+    "track_label": lambda K, name: track_label(K, ["v0", name]),
+    "shortest_witness": lambda K, name: shortest_witness(K, DescriptorElement("v0", frozenset(), name)),
+    "witness_lengths": lambda K, name: witness_lengths(K, name),
+    "witnessed_descriptors": lambda K, name: witnessed_descriptors(K, name),
+    "enumerate_tracks": lambda K, name: list(enumerate_tracks(K, 3, start=name)),
+    "find_satisfying_track first": lambda K, name: find_satisfying_track(K, parse_formula("<A> p"), 3, first=name),
+    "find_satisfying_track last": lambda K, name: find_satisfying_track(K, parse_formula("<A> p"), 3, last=name),
+    "find_satisfying_track interior": lambda K, name: find_satisfying_track(
+        K, parse_formula("<A> p"), 3, interior=[name]
+    ),
+    "val": lambda K, name: val(parse_formula("p"), DescriptorElement(name, frozenset(), "v0"), K),
+}
+
+
+@pytest.mark.parametrize("name", ["zz", 1, ["a"]], ids=["undeclared", "int", "list"])
+@pytest.mark.parametrize("entry", sorted(_NAME_ENTRY_POINTS))
+def test_every_name_lookup_rejects_what_is_not_a_state(kequiv, entry, name):
+    # One rule for every entry point: a state name is a declared string;
+    # anything else, hashable or not, is UnknownState.
+    with pytest.raises(ValidationError) as err:
+        _NAME_ENTRY_POINTS[entry](kequiv, name)
+    assert (err.value.reason, err.value.subject) == ("UnknownState", name)
+    assert is_track(kequiv, ["v0", name]) is False
 
 
 def test_structure_numbers_its_states_in_sorted_name_order():
