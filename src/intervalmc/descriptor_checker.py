@@ -3,8 +3,8 @@ universal model-checking driver built on it.
 
 The search is the deterministic counterpart of a nondeterministic
 recursion: every nondeterministic choice becomes exhaustive iteration in
-the canonical descriptor order, so verdicts and counterexamples are
-reproducible.
+breadth-first (shortest-track) order, so verdicts and counterexamples are
+reproducible, and elements with short tracks are tried first.
 
 An engine checks one node of a `FormulaTable`: in a check, the dual that
 `negate_to_exists` adds to the table `check` built. It reads the table's
@@ -19,14 +19,17 @@ also gives each element's label intersection, so a leaf costs one lookup
 and is evaluated once per distinct intersection. A check returns a
 witness track of the element, or False, memoized per (node, element).
 
-The elements from (to) a state are kept in one dict, in canonical order,
+The elements from (to) a state are kept in one dict, in the order the
+fixpoint discovers them, which is breadth-first (shortest-track) order,
 keyed by (interior mask, last (first) id).
 `<B>`/`<E>` never split d: dropping the last (first) state of a track of
 d leaves a track of an element that the forward dict finds in one lookup,
 and every track of that element extends back to a track of d. One
 breadth-first search over these peels serves both modalities, and a
 search that finds nothing marks every element it reached as failed for
-its node. The truth of `<A>`/`<~A>` depends only on d's last/first
+its node. Nothing reachable from such an element satisfies the node's
+subformula, so a later search checks it but peels no further from it.
+The truth of `<A>`/`<~A>` depends only on d's last/first
 state, so it is memoized per (node, endpoint); the witness is still a
 track of d.
 """
@@ -48,7 +51,6 @@ from .model import (
     KripkeStructure,
     Track,
     _element,
-    _pair_order,
     _pairs,
     concat_desc,  # unused; perfbench/tracer.py counts calls through this name
     shortest_witness,
@@ -79,20 +81,18 @@ class _ExistsEngine:
         self.stats = {"check_calls": 0, "memo_hits": 0, "descriptors_explored": 0, "adjacent_witnesses": 0}
 
     def witnessed(self, v: int, forward: bool = True) -> dict:
-        """The elements from (to) state id v, in canonical order, keyed by
-        (interior mask, last (first) id)."""
+        """The elements from (to) state id v, in breadth-first
+        (shortest-track) order, keyed by (interior mask, last (first) id)."""
         key = (v, forward)
         out = self._witnessed.get(key)
         if out is None:
-            parents = _pairs(self.K, v, forward)
             masks = self.K.masks
             # Pair -> intersection of the labels of its interior states.
             inner = {}
-            for pair, parent in parents.items():
-                inner[pair] = -1 if parent is None else inner[parent] & masks[parent[0]]
             out = self._witnessed[key] = {}
-            for pair in sorted(parents, key=_pair_order):
+            for pair, parent in _pairs(self.K, v, forward).items():  # a parent comes first
                 u, mask = pair
+                inner[pair] = -1 if parent is None else inner[parent] & masks[parent[0]]
                 d = (v, mask, u) if forward else (u, mask, v)
                 self._labels[d] = inner[pair] & masks[v] & masks[u]
                 out[mask, u] = d
@@ -151,7 +151,9 @@ class _ExistsEngine:
         d. So the search runs breadth-first over these peels from d, checks
         `sub` on each element on its first visit (d too, when a peel leads
         back to it), and adds the peeled states back to the witness it
-        finds."""
+        finds. It does not peel further from an element already refuted
+        for this node: a failed search marked everything it reached, so
+        nothing reachable from there satisfies `sub`."""
         names = self.K.names
         step = self.K.pred if prefix else self.K.succ
         parents = {}
@@ -174,7 +176,8 @@ class _ExistsEngine:
                             wit = wit + (names[z[2]],) if prefix else (names[z[0]],) + wit
                             if z == d:
                                 return wit
-                    queue.append(z)
+                    if self._memo.get((node, z)) is not False:
+                        queue.append(z)
         for z in parents:
             self._memo[(node, z)] = False
         return False
@@ -183,8 +186,9 @@ class _ExistsEngine:
 def model_check_univ(K: KripkeStructure, psi) -> Verdict:
     """Model check a universal-fragment formula: Holds iff no witnessed
     initial descriptor element admits a track satisfying the dualized
-    negation; otherwise Fails with the first counterexample track in
-    canonical order. NotInFragment (from `negate_to_exists`) outside ForallAABE.
+    negation; otherwise Fails with a witness of the first such element in
+    breadth-first (shortest-track) order. NotInFragment (from
+    `negate_to_exists`) outside ForallAABE.
     The dual joins the table of `psi`, a formula or a `TableNode`.
     """
     engine = _ExistsEngine(K, negate_to_exists(table_node(psi)))

@@ -164,21 +164,21 @@ def is_track(K: KripkeStructure, seq: Iterable[str]) -> bool:
     return True
 
 
-def check_track(K: KripkeStructure, seq: Iterable[str]) -> Track:
-    """`seq` as a tuple once it is known to be a track of `K`.
+def check_track(K: KripkeStructure, seq: Iterable[str]) -> tuple:
+    """The state ids of `seq`, as a tuple, once it is known to be a track
+    of `K`.
 
     ValidationError("UnknownState", s) for an undeclared state s, else
     ValidationError("NotATrack") for fewer than two states or a step that
     is not an edge.
     """
-    t = tuple(seq)
-    ids = list(map(K.id_of, t))
-    if len(t) < 2:
-        raise ValidationError("NotATrack", message=f"a track has at least 2 states, not {len(t)}")
-    for i in range(len(t) - 1):
+    ids = tuple(map(K.id_of, seq))
+    if len(ids) < 2:
+        raise ValidationError("NotATrack", message=f"a track has at least 2 states, not {len(ids)}")
+    for i in range(len(ids) - 1):
         if ids[i + 1] not in K.succ[ids[i]]:
-            raise ValidationError("NotATrack", message=f"no edge {t[i]} -> {t[i + 1]}")
-    return t
+            raise ValidationError("NotATrack", message=f"no edge {K.names[ids[i]]} -> {K.names[ids[i + 1]]}")
+    return ids
 
 
 def track_label(K: KripkeStructure, rho: Iterable[str]) -> frozenset:

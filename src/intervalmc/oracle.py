@@ -138,7 +138,7 @@ class BoundedEvaluator:
         rho = check_track(self.K, rho)
         if len(rho) > self.bound:
             raise BoundTooSmall(f"track of length {len(rho)} exceeds bound {self.bound}")
-        return self._at(self.compile(phi), tuple(map(self.K.ids.__getitem__, rho)))
+        return self._at(self.compile(phi), rho)
 
     def _at(self, i: int, rho, first=None, last=None, length=None) -> bool:
         """Truth of node `i` on the id track `rho`, of at most the bound states,

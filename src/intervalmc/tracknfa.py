@@ -255,8 +255,6 @@ def accepts_track(auto, rho: Track, bound: int) -> bool:
     rho = check_track(auto.K, rho)
     if len(rho) > bound:
         raise BoundTooSmall(f"track of length {len(rho)} exceeds bound {bound}")
-    ids = auto.K.ids
-    rho = [ids[s] for s in rho]
     frontier = set(auto.start(rho[0]))
     t = 1
     for v, w in zip(rho, rho[1:]):

@@ -96,7 +96,8 @@ class BoundedEvaluator:
     def eval(self, rho: Track, phi) -> bool:
         """Truth of `phi` on `rho`. ValidationError when `rho` is not a
         track of the structure (see `model.check_track`)."""
-        rho = check_track(self.K, rho)
+        rho = tuple(rho)
+        check_track(self.K, rho)
         if len(rho) > self.bound:
             raise BoundTooSmall(f"track of length {len(rho)} exceeds bound {self.bound}")
         return self._value(self.compile(phi), rho)

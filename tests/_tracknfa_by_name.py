@@ -231,7 +231,8 @@ def accepts_track(auto, rho: Track, bound: int) -> bool:
     """Run the automaton over one track (subset simulation). ValidationError
     when `rho` is not a track of the automaton's structure (see
     `model.check_track`)."""
-    rho = check_track(auto.K, rho)
+    rho = tuple(rho)
+    check_track(auto.K, rho)
     if len(rho) > bound:
         raise BoundTooSmall(f"track of length {len(rho)} exceeds bound {bound}")
     frontier = set(auto.start(rho[0]))

@@ -9,6 +9,7 @@ from intervalmc import (
     witnessed_descriptors,
 )
 from intervalmc.class_checker import check_ab
+from intervalmc.cli import check
 from intervalmc.descriptor_checker import _ExistsEngine, model_check_univ
 from intervalmc.errors import NotInFragment, NotWitnessed, ValidationError
 from intervalmc.logic import (
@@ -28,7 +29,7 @@ from intervalmc.logic import (
     parse_formula,
     val,
 )
-from intervalmc.model import _element, concat_desc, shortest_witness, track_label
+from intervalmc.model import _element, _pairs, concat_desc, shortest_witness, track_label, witness_lengths
 from intervalmc.oracle import default_bound
 from intervalmc.reductions import CnfFormula, build_sat_instance
 from intervalmc.tracknfa import accepts_track, compile_positive, find_satisfying_track
@@ -153,9 +154,11 @@ def test_check_exists_memo_transparency():
 
 
 def test_witnessed_index_matches_model():
-    # One dict per state and direction: the elements of
-    # `witnessed_descriptors` in the same order, each under its interior
-    # mask and other endpoint, with the label intersection of its tracks.
+    # One dict per state and direction: exactly the elements of
+    # `witnessed_descriptors`, in the breadth-first discovery order of the
+    # pair search, so shortest tracks never get longer along it; each under
+    # its interior mask and other endpoint, with the label intersection of
+    # its tracks.
     rng = rng_for("witnessed-index")
     elements = 0
     for _ in range(40):
@@ -164,7 +167,11 @@ def test_witnessed_index_matches_model():
         for v in K.states:
             for forward, direction in ((True, "forward"), (False, "backward")):
                 index = engine.witnessed(K.ids[v], forward)
-                assert [_element(K, *d) for d in index.values()] == list(witnessed_descriptors(K, v, direction))
+                found = [_element(K, *d) for d in index.values()]
+                assert sorted(found, key=DescriptorElement.sort_key) == list(witnessed_descriptors(K, v, direction))
+                assert list(index) == [(mask, u) for u, mask in _pairs(K, K.ids[v], forward)]
+                lengths = dict(witness_lengths(K, v, direction))
+                assert all(lengths[x] <= lengths[y] for x, y in zip(found, found[1:]))
                 for (mask, other), d in index.items():
                     assert d == ((K.ids[v], mask, other) if forward else (other, mask, K.ids[v]))
                     common = track_label(K, shortest_witness(K, _element(K, *d)))
@@ -300,20 +307,21 @@ def test_engines_agree_on_shared_fragment():
 
 
 # ---------------------------------------------------------------------------
-# Pinned outputs: the search order is canonical, so the verdict, the
-# counterexample and the counters move only when that order changes.
+# Pinned outputs: the search order is the breadth-first discovery order of
+# the pair search, so the verdict, the counterexample and the counters move
+# only when that order changes.
 
 
 SCHEDULER_PINS = (
     (
         "[E] !(e0 & e1)",
         "fails",
-        ("w0", "w1", "w6", "w7", "w0", "w2", "w4", "w5", "w0", "w2", "w3", "w8", "w9"),
-        2556,
-        2657,
+        ("w0", "w1", "w3", "w8", "w9"),
+        62,
+        1874,
     ),
-    ("[B] !(e0 & e1)", "holds", None, 271, 268),
-    ("[~A][E](r0 -> !e1)", "holds", None, 549, 2935),
+    ("[B] !(e0 & e1)", "holds", None, 377, 268),
+    ("[~A][E](r0 -> !e1)", "holds", None, 651, 2935),
 )
 
 
@@ -328,10 +336,31 @@ def test_scheduler_outputs_pinned(scheduler, text, result, counterexample, check
     assert verdict.stats["descriptors_explored"] == explored
 
 
+@pytest.mark.parametrize(
+    "text,counterexample",
+    [
+        ("[A] zz", ("w0", "w1")),
+        ("[E] !(e0 & e1)", ("w0", "w1", "w3", "w8", "w9")),
+        ("[B][E] !(e0 & e1)", ("w0", "w1", "w3", "w8", "w9", "w0")),
+    ],
+)
+def test_scheduler_counterexamples_short(scheduler, text, counterexample):
+    # The initial elements are searched shortest track first, so the
+    # counterexample is a track of a failing element with a short track.
+    psi = parse_formula(text)
+    verdict = check(scheduler, psi)
+    assert (verdict.engine, verdict.result, verdict.counterexample) == ("descriptor", "fails", counterexample)
+    if classify(desugar(psi)).ab_bar:
+        assert check(scheduler, psi, "class").counterexample == counterexample
+    negated = negate_to_exists(desugar(psi))
+    bound = max(default_bound(scheduler, negated), len(counterexample))
+    assert accepts_track(compile_positive(scheduler, negated, bound), counterexample, bound)
+
+
 SAT_PINS = (
     # Satisfied exactly when x1 & !x3 & x4, whatever x2 is.
     (CnfFormula(4, ((1, 2), (1, -2), (-3, 4), (-3, -4), (2, 4), (-2, 3, 4))),
-     "fails", ("w0", "w1_T", "w2_F", "w3_F"), 9, 46),
+     "fails", ("w0", "w1_T", "w2_F", "w3_F"), 11, 46),
     # Every sign pattern of (x1, x2) forces a contradiction on x3, x4 or x5.
     (CnfFormula(5, ((1, 2, 3), (1, 2, -3), (1, -2, 3), (1, -2, -3),
                     (-1, 2, 4), (-1, 2, -4), (-1, -2, 5), (-1, -2, -5))),
@@ -362,7 +391,7 @@ def test_univ_counters_pinned():
         for key in totals:
             totals[key] += verdict.stats[key]
     assert fails == 71
-    assert totals == {"check_calls": 1154, "descriptors_explored": 2236, "adjacent_witnesses": 51}
+    assert totals == {"check_calls": 1212, "descriptors_explored": 2407, "adjacent_witnesses": 52}
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +518,12 @@ class _ParentEngine:
         key = (v, direction)
         out = self._witnessed.get(key)
         if out is None:
-            # Sorted here, so the order does not rest on the engine's sort key.
-            found = witnessed_descriptors(self.K, v, direction)
-            out = self._witnessed[key] = sorted(found, key=DescriptorElement.sort_key)
+            # The breadth-first discovery order of the pair search.
+            K, first, forward = self.K, self.K.ids[v], direction == "forward"
+            out = self._witnessed[key] = [
+                _element(K, first, mask, u) if forward else _element(K, u, mask, first)
+                for u, mask in _pairs(K, first, forward)
+            ]
             self.stats["descriptors_explored"] += len(out)
         return out
 
@@ -577,7 +609,10 @@ class _ParentEngine:
                             wit = wit + (z.v_fin,) if prefix else (z.v_in,) + wit
                             if z == d:
                                 return True, wit
-                    queue.append((m, z))
+                    # Nothing reachable from an element already refuted for
+                    # this node satisfies `sub`.
+                    if not (self.use_memo and self._memo.get((node, z)) == (False, None)):
+                        queue.append((m, z))
         if self.use_memo:
             for z in parents:
                 self._memo[(node, z)] = (False, None)
@@ -692,4 +727,4 @@ def test_scheduler_adjacent_memo_hits_pinned(scheduler):
     # With the endpoint memo, [~A][E] no longer asks the node memo again for
     # every adjacent element of every element sharing a first state.
     verdict = model_check_univ(scheduler, desugar(parse_formula("[~A][E](r0 -> !e1)")))
-    assert verdict.stats["memo_hits"] == 432
+    assert verdict.stats["memo_hits"] == 242
